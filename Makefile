@@ -29,6 +29,9 @@ test:
 # (TestPackedFootprint: packed run state stays under its bytes-per-node
 # budget); the million-node benchmark itself is size-gated off
 # single-core CI and runs via `make bench` on real hardware.
+# stonebench/ is a module of its own, so `go test ./...` never builds
+# it; its self-test runs here so an engine API change cannot break the
+# benchmark unnoticed.
 # The final block is the distributed-sweep gate: the smoke spec sharded
 # over 3 worker processes (a fresh work directory, real re-exec'd
 # `stonesim work` workers) must emit JSON and CSV byte-identical to the
@@ -41,6 +44,7 @@ check: build
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
 	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint' -count=1
+	go -C stonebench test .
 	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -json /tmp/stonesim-smoke.json
 	go run ./cmd/stonesim sweep -spec examples/specs/all-protocols.json -q
 	go run ./cmd/stonesim sweep -spec examples/specs/churn-mis.json -q -trials 4

@@ -560,11 +560,13 @@ func BenchmarkCompilePhaseCost(b *testing.B) {
 }
 
 // BenchmarkEngineCompiledVsRef is the acceptance ablation for the
-// compiled execution core: the reference engine (the seed
-// implementation, kept as RunSyncRef) against the compiled executor on
-// E1's n=1024 instance, plus the pre-bound program that amortizes the
-// δ-tabulation the way the protocol packages do. The differential tests
-// guarantee all three produce bit-identical runs.
+// compiled execution core: the reference engine (RunSyncRef, the one
+// synchronous oracle, which runs a static run as the empty-scenario
+// case of its dynamic loop — graph clone and liveness bookkeeping
+// included) against the compiled executor on E1's n=1024 instance,
+// plus the pre-bound program that amortizes the δ-tabulation the way
+// the protocol packages do. The differential tests guarantee all three
+// produce bit-identical runs.
 func BenchmarkEngineCompiledVsRef(b *testing.B) {
 	g := graph.GnpConnected(1024, 4.0/1024, xrand.New(1024))
 	b.Run("ref", func(b *testing.B) {

@@ -44,8 +44,9 @@ const (
 
 // maxLayerFanout bounds the copies any single policy may emit per
 // incoming copy (Duplicate's MaxCopies is validated against it). It
-// both sizes Stack's scratch and caps the per-layer copy coordinate, so
-// a hostile Def can never turn the expansion into an allocation bomb.
+// bounds the growth of Stack's in-place expansion and sets its
+// per-layer copy-coordinate stride (maxLayerFanout²), so a hostile Def
+// can never turn the expansion into an allocation bomb.
 const maxLayerFanout = 8
 
 // Fate is one delivered copy of a transmission after the channel has
@@ -291,21 +292,23 @@ type Stack []Model
 
 var _ Model = Stack{}
 
-// Apply implements Model.
-func (s Stack) Apply(from, step, to, copy int, f Fate, nl int, out []Fate, st *Stats) []Fate {
-	var a, b [maxLayerFanout * maxLayerFanout]Fate
-	cur, nxt := append(a[:0], f), b[:0]
+// Apply implements Model. The expansion runs in place in out, with no
+// scratch of its own: each layer appends its fates after the current
+// ones, which then shift down over the consumed inputs.
+func (s Stack) Apply(from, step, to, cp int, f Fate, nl int, out []Fate, st *Stats) []Fate {
+	base := len(out)
+	out = append(out, f)
 	for _, layer := range s {
-		nxt = nxt[:0]
-		for i, g := range cur {
+		end := len(out)
+		for i := base; i < end; i++ {
 			// The per-layer copy coordinate: incoming index within this
 			// transmission's expansion, offset by the caller's copy so
 			// nested stacks stay decorrelated.
-			nxt = layer.Apply(from, step, to, copy*len(a)+i, g, nl, nxt, st)
+			out = layer.Apply(from, step, to, cp*maxLayerFanout*maxLayerFanout+i-base, out[i], nl, out, st)
 		}
-		cur, nxt = nxt, cur
+		out = out[:base+copy(out[base:], out[end:])]
 	}
-	return append(out, cur...)
+	return out
 }
 
 // Reorders implements Model.

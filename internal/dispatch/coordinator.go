@@ -99,22 +99,51 @@ func prepareWorkDir(dir string, sp campaign.Spec) error {
 			return fmt.Errorf("dispatch: preparing workdir: %w", err)
 		}
 	}
+	// Claim-directory workers prepare the same directory concurrently,
+	// so both files are created whole or not at all (writeOnce): a peer
+	// never reads a half-written fingerprint as a different sweep.
 	fp := sp.Fingerprint()
-	if b, err := os.ReadFile(fingerprintPath(dir)); err == nil {
-		if got := strings.TrimSpace(string(b)); got != fp {
-			return fmt.Errorf("dispatch: workdir %s holds a different sweep (fingerprint %s, this spec %s); use a fresh directory", dir, got, fp)
-		}
-	} else if err := os.WriteFile(fingerprintPath(dir), []byte(fp+"\n"), 0o644); err != nil {
+	if err := writeOnce(fingerprintPath(dir), []byte(fp+"\n")); err != nil {
 		return fmt.Errorf("dispatch: stamping workdir: %w", err)
+	}
+	b, err := os.ReadFile(fingerprintPath(dir))
+	if err != nil {
+		return fmt.Errorf("dispatch: stamping workdir: %w", err)
+	}
+	if got := strings.TrimSpace(string(b)); got != fp {
+		return fmt.Errorf("dispatch: workdir %s holds a different sweep (fingerprint %s, this spec %s); use a fresh directory", dir, got, fp)
 	}
 	if _, err := os.Stat(specPath(dir)); os.IsNotExist(err) {
 		b, err := json.MarshalIndent(sp, "", "  ")
 		if err != nil {
 			return fmt.Errorf("dispatch: encoding spec: %w", err)
 		}
-		if err := os.WriteFile(specPath(dir), append(b, '\n'), 0o644); err != nil {
+		if err := writeOnce(specPath(dir), append(b, '\n')); err != nil {
 			return fmt.Errorf("dispatch: writing spec: %w", err)
 		}
+	}
+	return nil
+}
+
+// writeOnce creates path with data unless it already exists. The data
+// goes to a temporary file first and is hard-linked into place, so a
+// concurrent reader sees either no file or the complete one, and of
+// two concurrent writers exactly one wins.
+func writeOnce(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Link(tmp.Name(), path); err != nil && !os.IsExist(err) {
+		return err
 	}
 	return nil
 }

@@ -294,6 +294,14 @@ func (w *worker) workClaims(ctx context.Context) (int, error) {
 			if !w.claim(claimPath) {
 				continue
 			}
+			if _, err := os.Stat(donePath); err == nil {
+				// A peer finished the cell between the done check above
+				// and the claim: it writes the marker before removing
+				// its claim, so the marker is visible now. Release.
+				os.Remove(claimPath)
+				remaining--
+				continue
+			}
 			setCurrent(claimPath)
 			_, err := w.runCell(ctx, key)
 			setCurrent("")

@@ -13,8 +13,10 @@ package engine
 // space.
 
 import (
+	"errors"
 	"testing"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/graph"
 	"stoneage/internal/nfsm"
 	"stoneage/internal/synchro"
@@ -119,6 +121,48 @@ func TestAllocsAsyncVoted(t *testing.T) {
 	const maxAllocs = 80
 	if allocs > maxAllocs {
 		t.Fatalf("async voted run allocates %.1f objects/op, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// TestAllocsAsyncChannelStack pins the hostile path: a voted run under
+// a four-layer channel stack. Stack.Apply expands each transmission in
+// place in the executor's reused fate buffer, so the per-run bound is
+// the voted one; scratch arrays that escaped per transmission (through
+// the layers' interface calls) would scale with message volume.
+func TestAllocsAsyncChannelStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	g := graph.GnpConnected(24, 0.2, xrand.New(18))
+	compiled, err := synchro.CompileRoundVoted(allocProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := Compile(compiled, g)
+	scr := NewScratch()
+	vcfg := &VotedConfig{RePulseSource: compiled.RePulseSource}
+	model := channel.Stack{
+		channel.Drop{Rate: 0.05, Seed: 1},
+		channel.Duplicate{Rate: 0.1, MaxCopies: 2, Seed: 2},
+		channel.Reorder{Window: 0.5, Seed: 3},
+		channel.Corrupt{Rate: 0.02, Seed: 4},
+	}
+	seed := uint64(0)
+	run := func() {
+		seed++
+		cfg := AsyncConfig{Seed: seed, Adversary: UniformRandom{Seed: seed}, Voted: vcfg, Channel: model, MaxSteps: 1 << 18}
+		if _, err := prog.RunAsyncReusing(cfg, scr); err != nil && !errors.Is(err, ErrNoConvergence) {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	// The voted bound: nothing per transmission.
+	const maxAllocs = 80
+	if allocs > maxAllocs {
+		t.Fatalf("async voted run on a channel stack allocates %.1f objects/op, want ≤ %d", allocs, maxAllocs)
 	}
 }
 

@@ -63,11 +63,12 @@ type AsyncConfig struct {
 	// mutation batch is applied at absolute time Batch.At, before any
 	// event scheduled at or after that time. Surviving node and port
 	// state (letters, FIFO horizons, write times) is carried across
-	// topology re-binds; deliveries in flight on a removed edge are
-	// dropped; crashed nodes stop stepping and restarted ones resume
-	// from a reboot. The reset policy must be concrete (the protocol
-	// layer resolves ResetAuto). Nil or empty scenarios take the
-	// unchanged static path.
+	// topology re-binds; a delivery resolves its port against the
+	// topology current at arrival, so traffic in flight on a removed
+	// edge is dropped; crashed nodes stop stepping and restarted ones
+	// resume from a reboot. The reset policy must be concrete (the
+	// protocol layer resolves ResetAuto). A nil or empty scenario is the
+	// static run: the same event loop with every scenario hook off.
 	Scenario *scenario.Scenario
 	// Channel, when non-nil, subjects every transmission to an
 	// unreliable-link model: each per-neighbor copy is expanded through
@@ -154,19 +155,6 @@ type AsyncResult struct {
 	FinalGraph *graph.Graph
 }
 
-// event is the seed engine's queue entry, kept for the reference oracle
-// in async_ref.go (the rewritten executor uses the ladder queue's
-// qevent).
-type event struct {
-	time    float64
-	seq     uint64 // FIFO-stable tiebreak for equal times
-	node    int
-	port    int         // delivery only
-	letter  nfsm.Letter // delivery only
-	step    bool        // true: node step; false: delivery
-	corrupt bool        // delivery only: letter rewritten by the channel
-}
-
 // RunAsync executes machine m on graph g in the asynchronous environment
 // of Section 2 under the given adversarial policy. Like RunSync it goes
 // through the compiled fast path; Compile once and call Program.RunAsync
@@ -200,16 +188,42 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 // differential and fuzz walls check the executor is bit-identical to
 // the reference engine either way.
 //
+// A non-empty cfg.Scenario is a hook inside the same loop, not a
+// separate executor: mutation batches apply before any event at or
+// after their time, a crash invalidates the node's pending step through
+// its epoch, rebooted nodes resume on a fresh step schedule, Byzantine
+// nodes emit by behavior instead of running δ, and per-edge state —
+// port letters, last-write times, FIFO horizons — is carried across
+// topology re-binds by directed-edge identity (graph.RemapPorts). Slots
+// renumber at a re-bind, so a scenario that mutates the topology
+// addresses its deliveries by sender and resolves the port against the
+// topology current at arrival: a delivery whose edge is gone is
+// Severed, one whose edge was removed and re-added lands on the new
+// port. Each fast path stays on only where the run cannot tell: parking
+// needs a static run (a batch cannot interrupt a virtual chain), the
+// pooled FIFO needs fixed slots.
+//
 // scr may be nil (a private arena is allocated); reusing one across
 // runs makes steady-state execution allocation-free.
 func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, error) {
-	if !cfg.Scenario.Empty() {
-		return p.runAsyncScenario(cfg, scr)
+	// sc is nil on a static run: a nil or empty scenario skips every
+	// scenario hook below.
+	sc := cfg.Scenario
+	if sc.Empty() {
+		sc = nil
+	} else {
+		if p.g == nil {
+			return nil, fmt.Errorf("engine: scenario runs need a graph-bound program (Bind, not BindCSR)")
+		}
+		if err := prepScenario(sc, p.g); err != nil {
+			return nil, err
+		}
 	}
 	if scr == nil {
 		scr = NewScratch()
 	}
-	n := p.csr.N()
+	cur := p.csr
+	n := cur.N()
 	states, err := initialStates(p.m, n, cfg.Init)
 	if err != nil {
 		return nil, err
@@ -223,11 +237,10 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		maxSteps = 1 << 24
 	}
 
-	csr := p.csr
-	ne := len(csr.NbrDat)
+	ne := len(cur.NbrDat)
 	scr.bind(p.MachineCode)
 	rc := &scr.rc
-	rc.reset(p, csr)
+	rc.reset(p, cur)
 	ds := &scr.ds
 	ds.init(p.MachineCode)
 	as := scr.async()
@@ -242,52 +255,84 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	as.stepIndex = grow(as.stepIndex, n, 0)
 	as.lastStepAt = grow(as.lastStepAt, n, 0)
 	stepIndex, lastStepAt := as.stepIndex, as.lastStepAt
+	// epochs[v] invalidates node v's queued step event: a crash bumps
+	// it, and so does a delivery landing inside a parked chain.
+	as.epochs = grow(as.epochs, n, 0)
+	epochs := as.epochs
 
 	lq := &as.lq
 	lq.reset()
 	dp := &as.dp
 	dp.reset(ne)
 
-	// model/chStats/usePool: the unreliable-channel axis. The pooled
-	// per-edge FIFO stays exact under non-reordering models (every fate
-	// has Extra == 0, so the FIFO clamp keeps per-edge enqueue times
-	// nondecreasing — duplicates land back-to-back in send order); a
-	// reordering model bypasses the pool and pushes every copy straight
-	// into the queue.
+	// Scenario state, zero on static runs: g is the evolving topology
+	// (cur is its CSR snapshot), live tracks who is awake, byz maps each
+	// Byzantine node to its behavior's index, and bySender marks a
+	// scenario that mutates the topology.
+	var (
+		g          *graph.Graph
+		live       *scenario.Liveness
+		byz        []int32
+		batches    []scenario.Batch
+		stepsSince []int
+		bySender   bool
+		topoAt     float64
+	)
+	if sc != nil {
+		g = p.g.Clone()
+		live = scenario.NewLiveness(n, sc.Asleep)
+		if byz, err = byzIndex(sc.Byzantine, n, p.nl); err != nil {
+			return nil, err
+		}
+		batches = sc.Batches
+		stepsSince = make([]int, n)
+		topoAt, bySender = topologicalAt(batches)
+	}
+
+	// model/chStats: the unreliable-channel axis. A reordering model
+	// voids the per-edge FIFO clamp (overtakes are counted instead).
 	model := cfg.Channel
 	reorders := model != nil && model.Reorders()
 	var chStats channel.Stats
 
-	// Voted tier: the decoder state is per directed-edge slot. Voting
-	// decouples deliveries from port writes (a receipt may commit
-	// nothing, or commit a letter other than its own), which the
-	// pooled-FIFO promotion and the parking replay both assume away,
-	// so voted runs materialize every delivery and every step.
+	// Voted tier: the decoder state is per directed-edge slot, and the
+	// eviction sentinel would be mis-rebuilt by a re-bind, so topological
+	// scenarios are rejected up front. Voting decouples deliveries from
+	// port writes (a receipt may commit nothing, or commit a letter other
+	// than its own), which the pooled-FIFO promotion and the parking
+	// replay both assume away, so voted runs materialize every delivery
+	// and every step.
 	var vs *votedState
 	if cfg.Voted != nil {
+		if bySender {
+			return nil, fmt.Errorf("engine: voted synchronizer does not support topological mutations (batch at %g)", topoAt)
+		}
 		vs = newVotedState(cfg.Voted, ne)
 	}
-	usePool := !reorders && vs == nil
+	// The pooled per-edge FIFO is keyed by slot and stays exact only
+	// while every edge's enqueue times are nondecreasing — true under
+	// non-reordering models, where duplicates land back-to-back in send
+	// order.
+	usePool := !reorders && vs == nil && !bySender
 
 	// Parking is sound only when no skipped step can tie exactly with a
-	// delivery (see TieFree); observers must see every step
-	// materialized, and the step tie key reserves 20 bits for the node
-	// index, so larger networks run fully materialized. Channel models
-	// multiply and drop deliveries, which the silent-chain walk cannot
-	// anticipate, so channel runs also materialize every step.
-	canPark := cfg.Observer == nil && model == nil && n < 1<<20 && vs == nil
+	// delivery (see TieFree) and no batch can land inside a virtual
+	// chain; observers must see every step materialized, and the step
+	// tie key reserves 20 bits for the node index, so larger networks
+	// run fully materialized. Channel models multiply and drop
+	// deliveries, which the silent-chain walk cannot anticipate, so
+	// channel runs also materialize every step.
+	canPark := sc == nil && cfg.Observer == nil && model == nil && n < 1<<20 && vs == nil
 	if tf, ok := adv.(TieFree); !ok || !tf.TieFreeTimes() {
 		canPark = false
 	}
 	var parked []bool
-	var epochs []uint32
 	var pendingReal []bool
 	if canPark {
 		as.parked = grow(as.parked, n, false)
 		as.virtTime = grow(as.virtTime, n, 0)
 		as.virtIndex = grow(as.virtIndex, n, 0)
 		as.virtLen = grow(as.virtLen, n, 0)
-		as.epochs = grow(as.epochs, n, 0)
 		as.pendingReal = grow(as.pendingReal, n, false)
 		if cap(as.walkCap) < n {
 			as.walkCap = make([]int32, n)
@@ -296,7 +341,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		for v := range as.walkCap {
 			as.walkCap[v] = walkCapMin
 		}
-		parked, epochs, pendingReal = as.parked, as.epochs, as.pendingReal
+		parked, pendingReal = as.parked, as.pendingReal
 	}
 	parkedCount := 0
 	batcher, _ := adv.(StepBatcher)
@@ -329,9 +374,25 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 	}
 
-	res := &AsyncResult{States: states}
-	outputs := countOutputs(p.m, states)
-	if outputs == n {
+	res := &AsyncResult{States: states, FinalGraph: g}
+	// Termination is every awake honest node in an output state
+	// (Byzantine nodes never reach one); target counts those nodes — all
+	// n on a static run.
+	outputs, target := 0, 0
+	countLive := func() {
+		outputs, target = 0, 0
+		for v := 0; v < n; v++ {
+			if (live != nil && !live.Awake(v)) || (byz != nil && byz[v] >= 0) {
+				continue
+			}
+			target++
+			if p.isOutputDS(states[v], ds) {
+				outputs++
+			}
+		}
+	}
+	countLive()
+	if sc == nil && outputs == target {
 		return res, nil
 	}
 
@@ -476,7 +537,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// key the reference engine's push order implies (see stepKey).
 	schedule := func(v int, q nfsm.State, ti int, tt float64, l0 float64) {
 		if !canPark {
-			lq.push(qevent{time: tt, seq: seq, node: int32(v), step: true})
+			lq.push(qevent{time: tt, seq: seq, node: int32(v), epoch: epochs[v], step: true})
 			seq++
 			return
 		}
@@ -535,18 +596,149 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 	}
 
-	for v := 0; v < n; v++ {
-		l := adv.StepLength(v, 1)
+	// scheduleNext draws the length of node v's next step and schedules
+	// it, from state q, that long after time `after`.
+	scheduleNext := func(v int, q nfsm.State, after float64) error {
+		t := stepIndex[v] + 1
+		l := stepLen(v, t)
 		if l <= 0 {
-			return nil, fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, 1)
+			return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, t)
 		}
 		if l > maxParam {
 			maxParam = l
 		}
-		schedule(v, states[v], 1, l, l)
+		schedule(v, q, t, after+l, l)
+		return nil
+	}
+
+	// Post-perturbation settling window (the asynchronous analogue of
+	// the synchronous engines' two-stable-rounds rule): after a batch,
+	// termination additionally requires every awake node to have taken
+	// at least two steps, so a configuration that merely has not yet
+	// observed the perturbation is not mistaken for terminal. Unlike the
+	// synchronous window this is a heuristic — adversarial delays can
+	// outlast any fixed step budget — but it closes the common race.
+	// lagging counts the awake nodes still short of two steps.
+	lagging := 0
+	resetNode := func(v int) {
+		states[v] = resetStateOf(p.m, cfg.Init, v)
+		rc.resetNode(v, cur)
+		for k := cur.NbrOff[v]; k < cur.NbrOff[v+1]; k++ {
+			portWriteAt[k] = -1
+		}
+		if vs != nil {
+			vs.resetSlots(cur.NbrOff[v], cur.NbrOff[v+1])
+		}
+	}
+	applyBatch := func(b scenario.Batch) error {
+		topo := false
+		var started []int
+		for _, m := range b.Muts {
+			st, err := live.Apply(m)
+			if err != nil {
+				return err
+			}
+			started = append(started, st...)
+			if m.Kind == graph.MutCrashNode {
+				epochs[m.U]++ // invalidate the pending step event
+			}
+			if err := m.Apply(g); err != nil {
+				return err
+			}
+			topo = topo || m.Topological()
+		}
+		if topo {
+			next := g.CSR()
+			remap := graph.RemapPorts(cur, next)
+			rc.rebind(next, remap)
+			pw := make([]float64, len(next.NbrDat))
+			ld := make([]float64, len(next.NbrDat))
+			for k := range pw {
+				if o := remap[k]; o >= 0 {
+					pw[k] = portWriteAt[o]
+					ld[k] = lastDelivery[o]
+				} else {
+					pw[k] = -1
+				}
+			}
+			portWriteAt, lastDelivery = pw, ld
+			cur = next
+		}
+		for _, v := range b.ResetSet(sc.Reset, g) {
+			if live.Awake(v) {
+				resetNode(v)
+			}
+		}
+		for _, v := range started {
+			resetNode(v)
+		}
+		countLive()
+		for v := range stepsSince {
+			stepsSince[v] = 0
+		}
+		lagging = live.NumAwake()
+		// Rebooted nodes resume stepping from the batch time.
+		for _, v := range started {
+			if err := scheduleNext(v, states[v], b.At); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	for v := 0; v < n; v++ {
+		if live == nil || live.Awake(v) {
+			if err := scheduleNext(v, states[v], 0); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if sc != nil && len(batches) == 0 && outputs == target {
+		return res, nil
+	}
+
+	nextBatch := 0
+	lastPerturb := 0.0
+	units := func(t float64) float64 {
+		if maxParam == 0 {
+			return 0
+		}
+		return t / maxParam
+	}
+	finish := func(at float64) *AsyncResult {
+		res.Time = at
+		res.TimeUnits = units(at)
+		if len(res.PerturbedAt) > 0 {
+			res.RecoveryTime = at - lastPerturb
+			res.RecoveryTimeUnits = units(res.RecoveryTime)
+		}
+		res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = chStats.Dropped, chStats.Duplicated, chStats.Delayed, chStats.Corrupted
+		res.Outvoted = chStats.Outvoted
+		if vs != nil {
+			vs.fill(res)
+		}
+		return res
 	}
 
 	for {
+		if nextBatch < len(batches) {
+			// A due batch precedes every event scheduled at or after it.
+			if at, ok := lq.peekTime(); !ok || at >= batches[nextBatch].At {
+				b := batches[nextBatch]
+				if err := applyBatch(b); err != nil {
+					return nil, err
+				}
+				nextBatch++
+				lastPerturb = b.At
+				res.PerturbedAt = append(res.PerturbedAt, b.At)
+				if nextBatch == len(batches) && outputs == target && lagging == 0 {
+					// Only reachable with no awake nodes left (a batch sets
+					// lagging to the awake count): vacuous convergence.
+					return finish(b.At), nil
+				}
+				continue
+			}
+		}
 		e, ok := lq.pop()
 		if !ok {
 			if parkedCount > 0 {
@@ -564,6 +756,15 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			// value was written after the destination's last step, it was
 			// never observable — a lost message.
 			k := e.aux
+			if bySender {
+				// A removed edge loses its in-flight traffic (Severed,
+				// distinct from paper-semantics Lost overwrites and from
+				// channel Dropped).
+				if k = portSlot(cur, v, int(e.aux)); k < 0 {
+					res.Severed++
+					continue
+				}
+			}
 			if parkedCount > 0 && parked[v] {
 				if err := replay(v, e.time, 0); err != nil {
 					return nil, err
@@ -592,8 +793,10 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			}
 			rc.setPort(v, k, nfsm.Letter(e.letter))
 			portWriteAt[k] = e.time
-			if nx, pending := dp.delivered(k); pending {
-				lq.push(qevent{time: nx.time, seq: nx.seq, node: e.node, aux: k, letter: nx.letter})
+			if usePool {
+				if nx, pending := dp.delivered(k); pending {
+					lq.push(qevent{time: nx.time, seq: nx.seq, node: e.node, aux: k, letter: nx.letter})
+				}
 			}
 			if canPark && parked[v] {
 				// The write may have changed what the node observes:
@@ -610,10 +813,10 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			}
 			continue
 		}
+		if e.epoch != epochs[v] {
+			continue // invalidated by a crash or a mid-chain delivery
+		}
 		if canPark {
-			if e.epoch != epochs[v] {
-				continue // invalidated by a mid-chain delivery
-			}
 			if parked[v] {
 				if err := replay(v, e.time, e.seq); err != nil {
 					return nil, err
@@ -626,45 +829,65 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 		t := stepIndex[v] + 1
 		q := states[v]
-		moves := rc.movesFor(v, q, ds)
-		if len(moves) == 0 {
-			return nil, fmt.Errorf("engine: δ empty at node %d state %d step %d", v, q, t)
-		}
 		var mv nfsm.Move
-		if len(moves) == 1 {
-			mv = moves[0]
+		single := false
+		isByz := byz != nil && byz[v] >= 0
+		if isByz {
+			// Byzantine node: never runs δ (its state stays put) and
+			// emits whatever its behavior dictates; the step still
+			// counts and its traffic rides the channel like any other.
+			mv = nfsm.Move{Next: q, Emit: sc.Byzantine[byz[v]].Emit(t, p.nl)}
 		} else {
-			mv = nfsm.PickMove(cfg.Seed, v, t, moves)
-		}
-		if mv.Next != q {
-			if p.isOutputDS(mv.Next, ds) != p.isOutputDS(q, ds) {
-				if p.isOutputDS(mv.Next, ds) {
-					outputs++
-				} else {
-					outputs--
-				}
+			moves := rc.movesFor(v, q, ds)
+			if len(moves) == 0 {
+				return nil, fmt.Errorf("engine: δ empty at node %d state %d step %d", v, q, t)
 			}
-			states[v] = mv.Next
+			if single = len(moves) == 1; single {
+				mv = moves[0]
+			} else {
+				mv = nfsm.PickMove(cfg.Seed, v, t, moves)
+			}
+			if mv.Next != q {
+				if p.isOutputDS(mv.Next, ds) != p.isOutputDS(q, ds) {
+					if p.isOutputDS(mv.Next, ds) {
+						outputs++
+					} else {
+						outputs--
+					}
+				}
+				states[v] = mv.Next
+			}
 		}
 		stepIndex[v] = t
 		lastStepAt[v] = e.time
 		res.Steps++
+		if lagging > 0 && stepsSince[v] < 2 {
+			if stepsSince[v]++; stepsSince[v] == 2 {
+				lagging--
+			}
+		}
 		if cfg.Observer != nil {
 			cfg.Observer(e.time, v, t, mv.Next)
 		}
 
-		if mv.Emit != nfsm.NoLetter && vs != nil {
-			// Voted tier: burst K copies per edge; re-pulses (emissions
-			// from pausing states) advance stall counters and are gated
-			// by the per-edge backoff, round messages are never gated.
-			isRP := vs.isRePulse != nil && vs.isRePulse(q)
-			if isRP {
-				vs.rePulses++
+		if mv.Emit != nfsm.NoLetter {
+			// Voted tier: honest emissions burst K copies per edge, and
+			// re-pulses (emissions from pausing states) advance stall
+			// counters and are gated by the per-edge backoff; round
+			// messages are never gated. A Byzantine node's traffic is
+			// one ungated copy — its receivers' votes and stall counters
+			// do the tolerating.
+			K, isRP := 1, false
+			if vs != nil && !isByz {
+				K = int(vs.k)
+				if isRP = vs.isRePulse != nil && vs.isRePulse(q); isRP {
+					vs.rePulses++
+				}
 			}
 			sent := false
-			K := int(vs.k)
-			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
-				u := csr.NbrDat[k]
+			reliable := [1]channel.Fate{{Letter: mv.Emit}}
+			for k := cur.NbrOff[v]; k < cur.NbrOff[v+1]; k++ {
+				u := cur.NbrDat[k]
 				if isRP {
 					send, evictNow := vs.fireEdge(k)
 					if evictNow {
@@ -683,101 +906,40 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 					maxParam = d
 				}
 				sent = true
-				dst := csr.NbrOff[u] + csr.RevPort[k]
+				dst := int32(v)
+				if !bySender {
+					dst = cur.NbrOff[u] + cur.RevPort[k]
+				}
 				for c := 0; c < K; c++ {
-					if model == nil {
-						at := e.time + d
-						if at < lastDelivery[k] {
-							at = lastDelivery[k] // FIFO per directed edge
-						}
-						lastDelivery[k] = at
-						lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: int32(mv.Emit)})
-						seq++
-						continue
+					fates := reliable[:]
+					if model != nil {
+						as.chBuf = channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, as.chBuf, &chStats)
+						fates = as.chBuf
 					}
-					fates := channel.ExpandAt(model, v, t, int(u), c, mv.Emit, p.nl, as.chBuf, &chStats)
-					as.chBuf = fates
 					for _, f := range fates {
 						at := e.time + d + f.Extra
-						if reorders {
-							// No FIFO clamp: count the overtakes instead.
-							if at < lastDelivery[k] {
-								res.Reordered++
-							} else {
-								lastDelivery[k] = at
-							}
+						if at < lastDelivery[k] && !reorders {
+							at = lastDelivery[k] // FIFO per directed edge
+						}
+						if at < lastDelivery[k] {
+							res.Reordered++ // an overtake on this edge
 						} else {
-							if at < lastDelivery[k] {
-								at = lastDelivery[k] // FIFO per directed edge
-							}
 							lastDelivery[k] = at
 						}
-						lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: int32(f.Letter), corrupt: f.Corrupt})
+						l := int32(f.Letter)
+						if !usePool || dp.enqueue(dst, at, seq, l) {
+							lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: l, corrupt: f.Corrupt})
+						}
 						seq++
 					}
 				}
 			}
-			if sent {
+			if sent || vs == nil {
 				res.Transmissions++
-			}
-		} else if mv.Emit != nfsm.NoLetter {
-			res.Transmissions++
-			emit := int32(mv.Emit)
-			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
-				u := csr.NbrDat[k]
-				d := adv.Delay(v, t, int(u))
-				if d <= 0 {
-					return nil, fmt.Errorf("engine: adversary returned non-positive delay %g for node %d step %d", d, v, t)
-				}
-				if d > maxParam {
-					maxParam = d
-				}
-				if model == nil {
-					at := e.time + d
-					if at < lastDelivery[k] {
-						at = lastDelivery[k] // FIFO per directed edge
-					}
-					lastDelivery[k] = at
-					dst := csr.NbrOff[u] + csr.RevPort[k]
-					sq := seq
-					seq++
-					if dp.enqueue(dst, at, sq, emit) {
-						lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: emit})
-					}
-					continue
-				}
-				fates := channel.Expand(model, v, t, int(u), mv.Emit, p.nl, as.chBuf, &chStats)
-				as.chBuf = fates
-				dst := csr.NbrOff[u] + csr.RevPort[k]
-				for _, f := range fates {
-					at := e.time + d + f.Extra
-					if reorders {
-						// No FIFO clamp: count the overtakes instead.
-						if at < lastDelivery[k] {
-							res.Reordered++
-						} else {
-							lastDelivery[k] = at
-						}
-					} else {
-						if at < lastDelivery[k] {
-							at = lastDelivery[k] // FIFO per directed edge
-						}
-						lastDelivery[k] = at
-					}
-					sq := seq
-					seq++
-					if usePool {
-						if dp.enqueue(dst, at, sq, int32(f.Letter)) {
-							lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: int32(f.Letter)})
-						}
-					} else {
-						lq.push(qevent{time: at, seq: sq, node: u, aux: dst, letter: int32(f.Letter)})
-					}
-				}
 			}
 		}
 
-		if outputs == n {
+		if nextBatch == len(batches) && outputs == target && lagging == 0 {
 			if parkedCount > 0 {
 				// Flush the parked nodes' skipped steps (all strictly
 				// before the terminating event under a TieFree
@@ -797,32 +959,39 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				}
 				res.Steps++
 			}
-			res.Time = e.time
-			res.TimeUnits = e.time / maxParam
-			res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = chStats.Dropped, chStats.Duplicated, chStats.Delayed, chStats.Corrupted
-			res.Outvoted = chStats.Outvoted
-			if vs != nil {
-				vs.fill(res)
-			}
-			return res, nil
+			return finish(e.time), nil
 		}
 		if res.Steps >= maxSteps {
 			return nil, fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), res.Steps)
 		}
-		if canPark && len(moves) == 1 && mv.Emit == nfsm.NoLetter {
+		if canPark && single && mv.Emit == nfsm.NoLetter {
 			// A materialized silent step is a checkpoint reached
 			// undisturbed: open the node's walk window fully (it closes
 			// again on the next delivery invalidation, keeping re-walks
 			// cheap where deliveries are frequent).
 			as.walkCap[v] = walkCapMax
 		}
-		l := stepLen(v, t+1)
-		if l <= 0 {
-			return nil, fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, t+1)
+		if err := scheduleNext(v, mv.Next, e.time); err != nil {
+			return nil, err
 		}
-		if l > maxParam {
-			maxParam = l
-		}
-		schedule(v, mv.Next, t+1, e.time+l, l)
 	}
+}
+
+// portSlot returns the CSR slot of node to's port from node from, or -1
+// when {from, to} is not an edge of the snapshot (binary search over
+// to's sorted run).
+func portSlot(csr *graph.CSR, to, from int) int32 {
+	lo, hi := csr.NbrOff[to], csr.NbrOff[to+1]
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if csr.NbrDat[mid] < int32(from) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < csr.NbrOff[to+1] && csr.NbrDat[lo] == int32(from) {
+		return lo
+	}
+	return -1
 }

@@ -28,7 +28,7 @@ type syncPend struct {
 // keys per-edge state by the directed edge, not its slot), resetting
 // perturbed nodes per the scenario's reset policy, and tracking node
 // liveness — and on the way out it reports the recovery-time metric.
-// The naive counterpart in dynamic_sync_ref.go implements the same
+// The naive counterpart in sync_ref.go implements the same
 // semantics from scratch on the seed engine's representation; the
 // differential and fuzz suites (dynamic_test.go, fuzz_test.go) pin the
 // two to each other, which is what licenses trusting this one.
@@ -46,6 +46,43 @@ func prepScenario(sc *scenario.Scenario, g *graph.Graph) error {
 		return errResetAuto
 	}
 	return sc.Validate(g)
+}
+
+// byzIndex maps each node to its position in the scenario's Byzantine
+// list (-1 for honest nodes), validating every behavior against the
+// node count and alphabet size. Both executors of each engine pair call
+// it, so an ill-formed Byzantine set fails identically everywhere.
+func byzIndex(byz []channel.ByzNode, n, nl int) ([]int32, error) {
+	if len(byz) == 0 {
+		return nil, nil
+	}
+	idx := make([]int32, n)
+	for v := range idx {
+		idx[v] = -1
+	}
+	for i, b := range byz {
+		if err := b.Validate(n, nl); err != nil {
+			return nil, err
+		}
+		if idx[b.Node] >= 0 {
+			return nil, fmt.Errorf("engine: duplicate byzantine node %d", b.Node)
+		}
+		idx[b.Node] = int32(i)
+	}
+	return idx, nil
+}
+
+// topologicalAt reports the time of the first batch that mutates the
+// topology, and whether there is one.
+func topologicalAt(batches []scenario.Batch) (float64, bool) {
+	for _, b := range batches {
+		for _, m := range b.Muts {
+			if m.Topological() {
+				return b.At, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // resetStateOf returns the state a rebooted node v resumes from: its

@@ -1,8 +1,9 @@
 package engine_test
 
-// The dynamic-network differential suite: the fast dynamic executors
-// (runSyncScenario / runAsyncScenario behind the Scenario config hooks)
-// must be bit-identical to the independent dynamic reference engines on
+// The dynamic-network differential suite: the compiled executors with a
+// scenario (runSyncScenario behind SyncConfig.Scenario, and the
+// scenario hook inside Program.RunAsyncReusing's event loop) must be
+// bit-identical to the reference engines RunSyncRef / RunAsyncRef on
 // every (machine, graph, scenario, seed) cell — rounds/times, counts,
 // states, perturbation log, recovery metrics and the final graph. The
 // fuzz targets in fuzz_test.go extend the same comparison to arbitrary
@@ -190,26 +191,104 @@ func TestDifferentialDynamicAsync(t *testing.T) {
 	}
 }
 
-// TestDynamicStaticParity pins the dispatch: a nil scenario and an
-// empty scenario take the static path and agree with a plain static
-// run bit for bit, with no dynamic extras reported.
+// TestDynamicStaticParity pins the empty-scenario case of every entry
+// point: a nil, zero or named-but-empty scenario is a static run, bit
+// for bit equal to a plain static run of the same engine, with no
+// dynamic extras reported.
 func TestDynamicStaticParity(t *testing.T) {
 	m := mis.Protocol()
 	g := graph.GnpConnected(48, 4.0/48, xrand.New(2))
-	base, err := engine.RunSync(m, g, engine.SyncConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
+	empties := []*scenario.Scenario{nil, {}, {Name: "noop"}}
+	syncEngines := map[string]func(engine.SyncConfig) (*engine.SyncResult, error){
+		"RunSync":    func(cfg engine.SyncConfig) (*engine.SyncResult, error) { return engine.RunSync(m, g, cfg) },
+		"RunSyncRef": func(cfg engine.SyncConfig) (*engine.SyncResult, error) { return engine.RunSyncRef(m, g, cfg) },
 	}
-	for _, sc := range []*scenario.Scenario{nil, {}, {Name: "noop"}} {
-		got, err := engine.RunSync(m, g, engine.SyncConfig{Seed: 9, Scenario: sc})
+	for name, run := range syncEngines {
+		base, err := run(engine.SyncConfig{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Rounds != base.Rounds || got.Transmissions != base.Transmissions || !sameStates(got.States, base.States) {
-			t.Fatalf("scenario %v perturbed a static run", sc)
+		for _, sc := range empties {
+			got, err := run(engine.SyncConfig{Seed: 9, Scenario: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rounds != base.Rounds || got.Transmissions != base.Transmissions || !sameStates(got.States, base.States) {
+				t.Fatalf("%s: scenario %v perturbed a static run", name, sc)
+			}
+			if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryRounds != 0 {
+				t.Fatalf("%s: scenario %v: static run reports dynamic extras", name, sc)
+			}
 		}
-		if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryRounds != 0 {
-			t.Fatalf("scenario %v: static run reports dynamic extras", sc)
+	}
+	asyncEngines := map[string]func(engine.AsyncConfig) (*engine.AsyncResult, error){
+		"RunAsync":    func(cfg engine.AsyncConfig) (*engine.AsyncResult, error) { return engine.RunAsync(m, g, cfg) },
+		"RunAsyncRef": func(cfg engine.AsyncConfig) (*engine.AsyncResult, error) { return engine.RunAsyncRef(m, g, cfg) },
+	}
+	for name, run := range asyncEngines {
+		// The uniform adversary is TieFree, so the fast executor's
+		// static run parks; the scenario hooks must leave that intact.
+		base, err := run(engine.AsyncConfig{Seed: 9, Adversary: engine.UniformRandom{Seed: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range empties {
+			got, err := run(engine.AsyncConfig{Seed: 9, Adversary: engine.UniformRandom{Seed: 4}, Scenario: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Time != base.Time || got.TimeUnits != base.TimeUnits || got.Steps != base.Steps ||
+				got.Transmissions != base.Transmissions || got.Lost != base.Lost || !sameStates(got.States, base.States) {
+				t.Fatalf("%s: scenario %v perturbed a static run", name, sc)
+			}
+			if got.PerturbedAt != nil || got.FinalGraph != nil || got.RecoveryTime != 0 ||
+				got.RecoveryTimeUnits != 0 || got.Severed != 0 {
+				t.Fatalf("%s: scenario %v: static run reports dynamic extras", name, sc)
+			}
+		}
+	}
+}
+
+// TestAsyncInFlightReAddedEdge pins delivery resolution against the
+// topology current at arrival: on the path 0-1-2 with nodes 0 and 2
+// flooding, node 0's first ping is in flight (sent at time 1, due at
+// time 2) when the edge {0,1} is removed at 1.5. Re-added at 1.75, the
+// edge gets a fresh port and the ping lands on it; left removed, the
+// ping is severed. Both engines must agree on every count.
+func TestAsyncInFlightReAddedEdge(t *testing.T) {
+	g := graph.Path(3)
+	remove := graph.Mutation{Kind: graph.MutRemoveEdge, U: 0, V: 1}
+	add := graph.Mutation{Kind: graph.MutAddEdge, U: 0, V: 1}
+	for _, tc := range []struct {
+		name    string
+		batches []scenario.Batch
+		severed int64
+	}{
+		{"re-added", []scenario.Batch{{At: 1.5, Muts: []graph.Mutation{remove}}, {At: 1.75, Muts: []graph.Mutation{add}}}, 0},
+		{"removed", []scenario.Batch{{At: 1.5, Muts: []graph.Mutation{remove}}}, 1},
+	} {
+		cfg := engine.AsyncConfig{
+			Seed:     3,
+			Init:     []nfsm.State{1, 0, 1}, // hot, idle, hot
+			MaxSteps: 1 << 10,
+			Scenario: &scenario.Scenario{Name: tc.name, Reset: scenario.ResetNone, Batches: tc.batches},
+		}
+		ref, err := engine.RunAsyncRef(flood(), g, cfg)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.name, err)
+		}
+		got, err := engine.RunAsync(flood(), g, cfg)
+		if err != nil {
+			t.Fatalf("%s: compiled: %v", tc.name, err)
+		}
+		if ref.Severed != tc.severed {
+			t.Fatalf("%s: reference severed %d deliveries, want %d", tc.name, ref.Severed, tc.severed)
+		}
+		if got.Severed != ref.Severed || got.Lost != ref.Lost || got.Steps != ref.Steps ||
+			got.Transmissions != ref.Transmissions || got.Time != ref.Time ||
+			got.RecoveryTime != ref.RecoveryTime || !sameStates(got.States, ref.States) ||
+			!sameGraph(got.FinalGraph, ref.FinalGraph) {
+			t.Fatalf("%s: compiled %+v, reference %+v", tc.name, got, ref)
 		}
 	}
 }

@@ -52,15 +52,16 @@ type asyncScratch struct {
 	lastDelivery []float64
 	stepIndex    []int
 	lastStepAt   []float64
+	// epochs is the per-node step-event epoch: a crash or a delivery
+	// into a parked chain bumps it, invalidating the queued step.
+	epochs []uint32
 
-	// Parking state (static async executor): parked nodes' pending
-	// virtual step, the per-node event epoch that invalidates
-	// precomputed chain-end events, and whether one is in the queue.
+	// Parking state (static runs only): parked nodes' pending virtual
+	// step and whether a chain-end event is in the queue.
 	parked      []bool
 	virtTime    []float64
 	virtIndex   []int
 	virtLen     []float64
-	epochs      []uint32
 	pendingReal []bool
 	stepBuf     [256]float64
 

@@ -118,86 +118,6 @@ func RunSync(m nfsm.Machine, g *graph.Graph, cfg SyncConfig) (*SyncResult, error
 	return Compile(m, g).RunSync(cfg)
 }
 
-// RunSyncRef is the reference synchronous engine: a direct transcription
-// of the model — interface dispatch into m.Moves, full count-vector
-// recomputation per node per round, nested-slice adjacency. It is kept
-// as the oracle the compiled executor is differentially tested against;
-// use RunSync everywhere else.
-func RunSyncRef(m nfsm.Machine, g *graph.Graph, cfg SyncConfig) (*SyncResult, error) {
-	if !cfg.Scenario.Empty() || cfg.Channel != nil {
-		return runSyncRefScenario(m, g, cfg)
-	}
-	n := g.N()
-	states, err := initialStates(m, n, cfg.Init)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1 << 20
-	}
-
-	topo := newPortTopology(g)
-	cnt := newCounter(m)
-
-	// ports[v][i] holds the last letter delivered from g.Neighbors(v)[i].
-	ports := make([][]nfsm.Letter, n)
-	for v := 0; v < n; v++ {
-		ports[v] = make([]nfsm.Letter, g.Degree(v))
-		for i := range ports[v] {
-			ports[v][i] = m.InitialLetter()
-		}
-	}
-
-	res := &SyncResult{States: states}
-	outputs := countOutputs(m, states)
-	if outputs == n {
-		return res, nil
-	}
-
-	// emits[v] buffers node v's transmission for end-of-round delivery.
-	emits := make([]nfsm.Letter, n)
-
-	for round := 1; round <= maxRounds; round++ {
-		for v := 0; v < n; v++ {
-			q := states[v]
-			moves := m.Moves(q, cnt.counts(q, ports[v]))
-			if len(moves) == 0 {
-				return nil, fmt.Errorf("engine: δ empty at node %d state %d round %d", v, q, round)
-			}
-			mv := nfsm.PickMove(cfg.Seed, v, round, moves)
-			if m.IsOutput(mv.Next) != m.IsOutput(q) {
-				if m.IsOutput(mv.Next) {
-					outputs++
-				} else {
-					outputs--
-				}
-			}
-			states[v] = mv.Next
-			emits[v] = mv.Emit
-		}
-		// Deliver all transmissions: visible from the next round on.
-		for v := 0; v < n; v++ {
-			l := emits[v]
-			if l == nfsm.NoLetter {
-				continue
-			}
-			res.Transmissions++
-			for i, u := range g.Neighbors(v) {
-				ports[u][topo.rev[v][i]] = l
-			}
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(round, states)
-		}
-		if outputs == n {
-			res.Rounds = round
-			return res, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s after %d rounds", ErrNoConvergence, machineName(m), maxRounds)
-}
-
 func machineName(m nfsm.Machine) string {
 	switch p := m.(type) {
 	case *nfsm.Protocol:

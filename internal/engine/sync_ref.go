@@ -10,24 +10,29 @@ import (
 	"stoneage/internal/scenario"
 )
 
-// This file is the dynamic reference engine for the locally synchronous
+// This file is the reference engine for the locally synchronous
 // environment: a direct, slow, obviously-correct transcription of the
-// dynamic-network semantics in the seed engine's representation —
-// nested-slice ports in adjacency order, interface dispatch into
-// m.Moves, full count recomputation per node per round, and a
-// from-scratch rebuild of every derived structure at each mutation
-// batch. It shares no executor code with runSyncScenario (only the
-// scenario policy definitions), so the differential and fuzz suites
-// comparing the two really do pin the fast path's re-binding,
-// port-carrying and liveness handling against an independent
-// implementation.
+// model — a static run is the empty-scenario case of a dynamic one — in
+// the seed engine's representation: nested-slice ports in adjacency
+// order, interface dispatch into m.Moves, full count recomputation per
+// node per round, and a from-scratch rebuild of every derived structure
+// at each mutation batch. It shares no executor code with the compiled
+// executors (only the scenario policy definitions and channel.Expand),
+// so the differential and fuzz suites comparing them really do pin the
+// fast paths' re-binding, port-carrying and liveness handling against
+// an independent implementation.
 
-// runSyncRefScenario executes machine m on g under cfg.Scenario with
-// the reference representation.
-func runSyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, error) {
+// RunSyncRef is the reference synchronous engine. It is kept as the
+// oracle the compiled executors are differentially tested against
+// (TestDifferentialSyncEngines, TestDifferentialDynamicSync); use
+// RunSync everywhere else. A run with neither a non-empty scenario nor
+// a channel model is static and reports no dynamic extras (nil
+// PerturbedAt and FinalGraph).
+func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, error) {
 	sc := cfg.Scenario
-	if sc == nil {
-		// A channel model alone routes here; run the empty scenario.
+	static := sc.Empty() && cfg.Channel == nil
+	if sc == nil || static {
+		// A channel model alone runs the empty scenario.
 		sc = &scenario.Scenario{Reset: scenario.ResetNone}
 	}
 	if err := prepScenario(sc, g0); err != nil {
@@ -75,7 +80,10 @@ func runSyncRefScenario(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncR
 		}
 	}
 
-	res := &SyncResult{States: states, FinalGraph: g}
+	res := &SyncResult{States: states}
+	if !static {
+		res.FinalGraph = g
+	}
 	// Byzantine nodes never reach an output state: termination is every
 	// awake honest node in an output state.
 	outputs, awakeByz := 0, 0
