@@ -28,7 +28,10 @@ test:
 # The engine test line includes the bit-plane memory guard
 # (TestPackedFootprint: packed run state stays under its bytes-per-node
 # budget); the million-node benchmark itself is size-gated off
-# single-core CI and runs via `make bench` on real hardware.
+# single-core CI and runs via `make bench` on real hardware. The fuzz
+# line is a time-boxed run of the synchronous differential wall: the
+# one round loop (every backend, scenario and channel hook) against the
+# reference engine on fuzz-decoded machines, graphs and scenarios.
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.
@@ -44,6 +47,7 @@ check: build
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
 	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint' -count=1
+	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go -C stonebench test .
 	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -json /tmp/stonesim-smoke.json
 	go run ./cmd/stonesim sweep -spec examples/specs/all-protocols.json -q

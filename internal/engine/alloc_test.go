@@ -14,11 +14,13 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"stoneage/internal/channel"
 	"stoneage/internal/graph"
 	"stoneage/internal/nfsm"
+	"stoneage/internal/scenario"
 	"stoneage/internal/synchro"
 	"stoneage/internal/xrand"
 )
@@ -50,6 +52,120 @@ func TestAllocsSyncCompiled(t *testing.T) {
 	const maxAllocs = 8
 	if allocs > maxAllocs {
 		t.Fatalf("compiled sync run allocates %.1f objects/op, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
+// allocsPerRun reports the heap bytes and objects one call of run
+// allocates, averaged over reps calls. Unlike testing.AllocsPerRun it
+// leaves GOMAXPROCS alone, so a sharded run's worker goroutines are
+// measured as they run, and it reports bytes too: a per-run buffer that
+// stopped being reused shows up in bytes long before it does in
+// object counts.
+func allocsPerRun(reps int, run func()) (bytes, objects float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(reps),
+		float64(after.Mallocs-before.Mallocs) / float64(reps)
+}
+
+// TestAllocsSyncSharded pins the sharded round's reuse: the shard
+// pool's ranges and every per-worker buffer — emitter lists, dynamic
+// scratch, route buckets, the packed kernel's clamped-count words —
+// live in the Scratch, so a two-worker run on either backend allocates
+// what a one-worker run does (the result, the returned States vector)
+// plus the run's goroutines and their command channels.
+func TestAllocsSyncSharded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 4096
+	prog := Compile(allocProtocol(), graph.GnpConnected(n, 4.0/n, xrand.New(17)))
+	for _, backend := range []string{BackendFlat, BackendPacked} {
+		scr := NewScratch()
+		seed := uint64(0)
+		run := func() {
+			seed++
+			if _, err := prog.RunSyncReusing(SyncConfig{Seed: seed, Workers: 2, Backend: backend}, scr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			run() // grow the arena to its high-water mark
+		}
+		bytes, objects := allocsPerRun(20, run)
+		// The States vector (8 B/node) plus 16 KB of slack for the result,
+		// the goroutines and their channels; per-worker buffers rebuilt
+		// per run cost about a megabyte at this size.
+		const maxBytes = 8*n + 16<<10
+		if bytes > maxBytes {
+			t.Errorf("%s: two-worker sync run allocates %.0f bytes (%.1f objects)/op, want ≤ %d bytes", backend, bytes, objects, maxBytes)
+		}
+	}
+}
+
+// TestScratchBindInvalidatesIdleWorkers pins the machine-keyed memo
+// invalidation of the per-worker dynamic scratch: a run on fewer
+// workers leaves the other workers' scratch idle beyond the slice's
+// length, and a later run on more workers re-enables it, so moving the
+// Scratch to another machine must clear those memos too.
+func TestScratchBindInvalidatesIdleWorkers(t *testing.T) {
+	scr := NewScratch()
+	scr.dss = make([]dynScratch, 3)
+	for i := range scr.dss {
+		scr.dss[i].out = []int8{1}
+	}
+	scr.dss = scr.dss[:1]
+	scr.bind(CompileMachine(allocProtocol()))
+	for i, ds := range scr.dss[:3] {
+		if len(ds.out) != 0 {
+			t.Fatalf("worker %d keeps the previous machine's output memo after bind", i)
+		}
+	}
+}
+
+// TestAllocsSyncChannel pins the steady state of a sync run with a
+// reordering, dropping channel and a crash scenario: the channel
+// hook's fate buffer, pending deliveries and per-edge horizon map live
+// in the Scratch, and a scenario without topological batches reads the
+// bound graph instead of cloning it, so the per-run cost is bounded by
+// the scenario's size, never by message volume.
+func TestAllocsSyncChannel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 256
+	g := graph.GnpConnected(n, 4.0/n, xrand.New(17))
+	prog := Compile(allocProtocol(), g)
+	def := scenario.Def{Kind: "crash", Frac: 0.1, At: scenario.Round(3), Every: 4, Reset: "none"}
+	sc, err := def.Generate(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := channel.Stack{channel.Drop{Rate: 0.1, Seed: 1}, channel.Reorder{Window: 1, Seed: 2}}
+	scr := NewScratch()
+	seed := uint64(0)
+	run := func() {
+		seed++
+		cfg := SyncConfig{Seed: seed, MaxRounds: 1 << 12, Scenario: sc, Channel: model}
+		if _, err := prog.RunSyncReusing(cfg, scr); err != nil && !errors.Is(err, ErrNoConvergence) {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	bytes, objects := allocsPerRun(20, run)
+	// Result, States (8 B/node), the liveness table, the perturbation
+	// log, and one small slice per restarted node (scenario.Liveness
+	// reports restarts as a fresh slice).
+	const maxObjects, maxBytes = 64, 8*n + 6<<10
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("channel+crash sync run allocates %.1f objects, %.0f bytes/op, want ≤ %d objects, %d bytes", objects, bytes, maxObjects, maxBytes)
 	}
 }
 

@@ -151,9 +151,8 @@ func (c *MachineCode) Bind(g *graph.Graph) *Program {
 // BindCSR attaches the machine code directly to a CSR snapshot with no
 // adjacency-list Graph behind it — the binding for streamed graphs
 // (graph.BuildCSR) whose materialized form would not fit in memory.
-// The resulting program runs the static synchronous paths (flat and
-// packed); the scenario, channel and asynchronous paths need the
-// mutable Graph and report an error.
+// The resulting program runs every static run, channel runs included;
+// scenario runs need the mutable Graph and report an error.
 func (c *MachineCode) BindCSR(csr *graph.CSR) *Program {
 	return &Program{MachineCode: c, csr: csr}
 }
@@ -262,15 +261,6 @@ func outputBitset(nq int, isOutput func(nfsm.State) bool) []uint64 {
 	return mask
 }
 
-// isOutput answers Q_O membership from the bitset for flat programs and
-// from the machine otherwise.
-func (c *MachineCode) isOutput(q nfsm.State) bool {
-	if c.kind != progDynamic {
-		return c.outMask[q>>6]>>(uint(q)&63)&1 == 1
-	}
-	return c.m.IsOutput(q)
-}
-
 // runCounts is the per-run mutable execution state shared by the
 // synchronous and asynchronous executors: the flat port array aligned
 // with the CSR edge order, the per-node raw (unclamped) letter counts,
@@ -292,12 +282,6 @@ type runCounts struct {
 	// idxBuf backs idx across resets (idx itself is nil for non-flat
 	// kinds, so the capacity is kept separately).
 	idxBuf []int32
-}
-
-func newRunCountsCSR(p *Program, csr *graph.CSR) *runCounts {
-	rc := &runCounts{}
-	rc.reset(p, csr)
-	return rc
 }
 
 // reset (re)initializes the run state against a CSR snapshot, reusing

@@ -12,26 +12,17 @@ import (
 )
 
 // syncPend is a channel-delayed synchronous delivery: a reordering
-// model's extra delay rounds up to whole rounds, and the letter lands
-// in the deliver phase of round due (resolving the destination port
-// against the topology of that round — a removed edge severs it).
+// model's extra delay rounds up to whole rounds, and the letter lands in
+// the deliver phase of round due, on the topology of that round.
 type syncPend struct {
 	due      int
 	from, to int32
 	letter   nfsm.Letter
 }
 
-// This file is the fast dynamic synchronous executor: the compiled
-// engine's round loop extended with the scenario hook. Between rounds
-// it applies mutation batches — carrying surviving node state and the
-// letter of every surviving port across CSR re-binds (graph.RemapPorts
-// keys per-edge state by the directed edge, not its slot), resetting
-// perturbed nodes per the scenario's reset policy, and tracking node
-// liveness — and on the way out it reports the recovery-time metric.
-// The naive counterpart in sync_ref.go implements the same
-// semantics from scratch on the seed engine's representation; the
-// differential and fuzz suites (dynamic_test.go, fuzz_test.go) pin the
-// two to each other, which is what licenses trusting this one.
+// This file holds the scenario and channel hooks of the synchronous
+// round loop and the scenario helpers all four engines share. The
+// differential and fuzz suites pin the hooks to sync_ref.go.
 
 // errResetAuto rejects unresolved reset policies: the engines do not
 // know protocol capabilities, so scenario.ResetAuto must be resolved by
@@ -95,251 +86,161 @@ func resetStateOf(m nfsm.Machine, init []nfsm.State, v int) nfsm.State {
 	return m.InputState()
 }
 
-// runSyncScenario executes the compiled program with a dynamic-network
-// scenario. The loop is sequential: trial-level parallelism (the
-// campaign runner) is where dynamic sweeps get their concurrency; each
-// worker's scratch arena is reused here exactly as on the static path
-// (scr may be nil for a private one).
-func (p *Program) runSyncScenario(cfg SyncConfig, scr *Scratch) (*SyncResult, error) {
-	sc := cfg.Scenario
-	if sc == nil {
-		// A channel model alone routes here; run the empty scenario.
-		sc = &scenario.Scenario{Reset: scenario.ResetNone}
-	}
-	if p.g == nil {
-		return nil, fmt.Errorf("engine: scenario and channel runs need a graph-bound program (Bind, not BindCSR)")
-	}
-	if err := prepScenario(sc, p.g); err != nil {
-		return nil, err
-	}
-	if scr == nil {
-		scr = NewScratch()
-	}
-	g := p.g.Clone()
-	n := g.N()
-	states, err := initialStates(p.m, n, cfg.Init)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1 << 20
-	}
+// syncScenario is the scenario hook of the synchronous round loop. A
+// nil *syncScenario is the static run: no batch is ever pending and
+// every node counts toward termination.
+type syncScenario struct {
+	sc   *scenario.Scenario
+	init []nfsm.State
+	// g is the evolving topology: the bound graph itself until a batch
+	// mutates the topology, a private clone from then on.
+	g    *graph.Graph
+	live *scenario.Liveness
+	byz  []int32 // node → index into sc.Byzantine, -1 for honest nodes
+	next int     // index of the next batch to apply
+}
 
-	cur := p.csr
-	scr.bind(p.MachineCode)
-	rc := &scr.rc
-	rc.reset(p, cur)
-	ds := &scr.ds
-	ds.init(p.MachineCode)
-	live := scenario.NewLiveness(n, sc.Asleep)
-	byz, err := byzIndex(sc.Byzantine, n, p.nl)
-	if err != nil {
-		return nil, err
-	}
-	isByz := func(v int) bool { return byz != nil && byz[v] >= 0 }
-	if cap(scr.emits) < n {
-		scr.emits = make([]nfsm.Letter, n)
-	}
-	emits := scr.emits[:n]
-	emitters := scr.emitters[:0]
-	defer func() { scr.emitters = emitters[:0] }()
+// pending reports whether batches remain to apply.
+func (d *syncScenario) pending() bool { return d != nil && d.next < len(d.sc.Batches) }
 
-	// Channel model (nil = reliable links). Only a reordering model can
-	// defer a delivery past its send round, so the pending list and the
-	// per-edge horizon map stay empty otherwise.
-	model := cfg.Channel
-	reorders := model != nil && model.Reorders()
-	var chStats channel.Stats
-	var chBuf []channel.Fate
-	var pend []syncPend
-	var horizon map[uint64]int
-	if reorders {
-		horizon = make(map[uint64]int)
-	}
+// due reports whether a batch applies before round: batch At = r
+// applies after round r completes.
+func (d *syncScenario) due(round int) bool {
+	return d.pending() && int(d.sc.Batches[d.next].At) < round
+}
 
-	res := &SyncResult{States: states, FinalGraph: g}
-	// Byzantine nodes never reach an output state: termination is every
-	// awake honest node in an output state. target() is that count.
-	outputs, awakeByz := 0, 0
-	countLive := func() {
-		outputs, awakeByz = 0, 0
-		for v := 0; v < n; v++ {
-			if !live.Awake(v) {
-				continue
-			}
-			if isByz(v) {
-				awakeByz++
-			} else if p.isOutput(states[v]) {
-				outputs++
-			}
+// honest reports whether node v runs δ: awake and not Byzantine.
+func (d *syncScenario) honest(v int) bool { return d.live.Awake(v) && (d.byz == nil || d.byz[v] < 0) }
+
+// count returns the termination tally: the awake honest nodes in an
+// output state, and the awake honest nodes (the target).
+func (d *syncScenario) count(p *Program, ds *dynScratch, states []nfsm.State) (outputs, target int) {
+	for v, q := range states {
+		if d != nil && !d.honest(v) {
+			continue
+		}
+		target++
+		if p.isOutputDS(q, ds) {
+			outputs++
 		}
 	}
-	countLive()
-	target := func() int { return live.NumAwake() - awakeByz }
-	nextBatch := 0
-	lastPerturb := 0
-	// stable counts consecutive rounds ending in an awake output
-	// configuration. After a perturbation, termination requires TWO such
-	// rounds: a batch leaves fresh ports holding the initial letter for
-	// one round, so a configuration can look terminal before the
-	// perturbation's effects have propagated — one confirmation round
-	// closes exactly that window (every awake node re-transmits and
-	// every port is delivered real letters in between).
-	stable := 0
-	if nextBatch == len(sc.Batches) && outputs == target() {
-		return res, nil
-	}
+	return outputs, target
+}
 
-	// applyBatch mutates graph and liveness, re-binds the layout on
-	// topology change, and resets the policy's node set plus every
-	// restarted/woken node.
-	applyBatch := func(b scenario.Batch) error {
+// applyBatches applies every batch due before round, logging each in
+// res.PerturbedAt. A batch mutates graph and liveness, re-binds the
+// layout on a topology change (graph.RemapPorts carries every surviving
+// port's letter by its directed edge), and resets the reset policy's
+// awake nodes plus every restarted or woken node.
+func (e *flatKernel) applyBatches(round int, res *SyncResult) error {
+	d, p, rc := e.dyn, e.p, e.rc
+	for d.due(round) {
+		b := d.sc.Batches[d.next]
 		topo := false
-		var started []int
+		var reboot []int
 		for _, m := range b.Muts {
-			st, err := live.Apply(m)
+			started, err := d.live.Apply(m)
 			if err != nil {
 				return err
 			}
-			started = append(started, st...)
-			if err := m.Apply(g); err != nil {
+			reboot = append(reboot, started...)
+			if m.Topological() && d.g == p.g {
+				d.g = p.g.Clone()
+			}
+			if err := m.Apply(d.g); err != nil {
 				return err
 			}
 			topo = topo || m.Topological()
 		}
 		if topo {
-			next := g.CSR()
-			rc.rebind(next, graph.RemapPorts(cur, next))
-			cur = next
+			next := d.g.CSR()
+			rc.rebind(next, graph.RemapPorts(e.csr, next))
+			e.csr = next
 		}
-		for _, v := range b.ResetSet(sc.Reset, g) {
-			if live.Awake(v) {
-				states[v] = resetStateOf(p.m, cfg.Init, v)
-				rc.resetNode(v, cur)
+		for _, v := range b.ResetSet(d.sc.Reset, d.g) {
+			if d.live.Awake(v) {
+				reboot = append(reboot, v)
 			}
 		}
-		for _, v := range started {
-			states[v] = resetStateOf(p.m, cfg.Init, v)
-			rc.resetNode(v, cur)
+		for _, v := range reboot {
+			e.states[v] = resetStateOf(p.m, d.init, v)
+			rc.resetNode(v, e.csr)
 		}
-		countLive()
-		return nil
+		d.next++
+		res.PerturbedAt = append(res.PerturbedAt, round-1)
 	}
+	res.FinalGraph = d.g
+	return nil
+}
 
-	for round := 1; round <= maxRounds; round++ {
-		for nextBatch < len(sc.Batches) && int(sc.Batches[nextBatch].At) < round {
-			if err := applyBatch(sc.Batches[nextBatch]); err != nil {
-				return nil, err
-			}
-			nextBatch++
-			lastPerturb = round - 1
-			res.PerturbedAt = append(res.PerturbedAt, round-1)
-		}
+// syncChannel is the channel hook of the flat deliver phase. It lives in
+// the Scratch, so the fate buffer, the pending deliveries and the
+// per-edge horizon map are reused across runs.
+type syncChannel struct {
+	model    channel.Model
+	reorders bool
+	stats    channel.Stats
+	res      *SyncResult // takes the channel counters
+	buf      []channel.Fate
+	pend     []syncPend
+	// horizon[(from, to)] is the latest due round scheduled on a directed
+	// edge (reordering models only); a delivery due earlier overtakes.
+	horizon map[uint64]int
+}
 
-		// Compute phase over the awake nodes against the frozen ports.
-		emitters = emitters[:0]
-		for v := 0; v < n; v++ {
-			if !live.Awake(v) {
+func (c *syncChannel) reset(model channel.Model, res *SyncResult) {
+	c.model, c.reorders, c.stats, c.res = model, model.Reorders(), channel.Stats{}, res
+	c.pend = c.pend[:0]
+	if c.horizon == nil {
+		c.horizon = make(map[uint64]int)
+	}
+	clear(c.horizon)
+}
+
+// deliverChannel is the deliver phase of a channel run (one worker).
+// Ports receive letters whatever the neighbor's liveness. Deferred
+// deliveries land first, on the current topology (a removed edge severs
+// them), so the round's own traffic overwrites stale letters.
+func (e *flatKernel) deliverChannel(round int) {
+	c, rc, cur := e.ch, e.rc, e.csr
+	if len(c.pend) > 0 {
+		keep := c.pend[:0]
+		for _, pd := range c.pend {
+			if pd.due != round {
+				keep = append(keep, pd)
 				continue
 			}
-			if isByz(v) {
-				// Byzantine node: never runs δ (its state stays put),
-				// emits whatever its behavior dictates; its traffic
-				// rides the channel like any other.
-				if l := sc.Byzantine[byz[v]].Emit(round, p.nl); l != nfsm.NoLetter {
-					emits[v] = l
-					emitters = append(emitters, int32(v))
-				}
-				continue
-			}
-			q := states[v]
-			moves := rc.movesFor(v, q, ds)
-			if len(moves) == 0 {
-				return nil, deltaEmptyErr(v, q, round)
-			}
-			mv := nfsm.PickMove(cfg.Seed, v, round, moves)
-			if p.isOutput(mv.Next) != p.isOutput(q) {
-				if p.isOutput(mv.Next) {
-					outputs++
-				} else {
-					outputs--
-				}
-			}
-			states[v] = mv.Next
-			if mv.Emit != nfsm.NoLetter {
-				emits[v] = mv.Emit
-				emitters = append(emitters, int32(v))
+			if k := portSlot(cur, int(pd.to), int(pd.from)); k >= 0 {
+				rc.setPort(int(pd.to), k, pd.letter)
+			} else {
+				c.res.Severed++
 			}
 		}
-
-		// Deliver phase: ports of every neighbor are link-endpoint
-		// memory and receive the letter regardless of the neighbor's
-		// liveness (a reboot clears them anyway). Deliveries deferred by
-		// a reordering channel land first, so the round's own traffic
-		// overwrites stale letters, never the other way around.
-		if model != nil && len(pend) > 0 {
-			keep := pend[:0]
-			for _, pd := range pend {
-				if pd.due != round {
-					keep = append(keep, pd)
-					continue
-				}
-				if k := portSlot(cur, int(pd.to), int(pd.from)); k >= 0 {
-					rc.setPort(int(pd.to), k, pd.letter)
-				} else {
-					res.Severed++ // edge removed before the due round
-				}
-			}
-			pend = keep
-		}
-		for _, v := range emitters {
-			l := emits[v]
-			res.Transmissions++
-			if model == nil {
-				for k := cur.NbrOff[v]; k < cur.NbrOff[v+1]; k++ {
-					rc.setPort(int(cur.NbrDat[k]), cur.NbrOff[cur.NbrDat[k]]+cur.RevPort[k], l)
-				}
-				continue
-			}
-			for k := cur.NbrOff[v]; k < cur.NbrOff[v+1]; k++ {
-				u := int(cur.NbrDat[k])
-				chBuf = channel.Expand(model, int(v), round, u, l, p.nl, chBuf, &chStats)
-				for _, f := range chBuf {
-					delay := int(math.Ceil(f.Extra))
-					if reorders {
-						key := uint64(uint32(v))<<32 | uint64(uint32(u))
-						if due := round + delay; due < horizon[key] {
-							res.Reordered++ // an overtake on this edge
-						} else {
-							horizon[key] = due
-						}
-					}
-					if delay == 0 {
-						rc.setPort(u, cur.NbrOff[u]+cur.RevPort[k], f.Letter)
+		c.pend = keep
+	}
+	for _, v := range e.emitters[0] {
+		l := e.emits[v]
+		for k := cur.NbrOff[v]; k < cur.NbrOff[v+1]; k++ {
+			u := int(cur.NbrDat[k])
+			c.buf = channel.Expand(c.model, int(v), round, u, l, e.p.nl, c.buf, &c.stats)
+			for _, f := range c.buf {
+				delay := int(math.Ceil(f.Extra))
+				if c.reorders {
+					key := uint64(uint32(v))<<32 | uint64(uint32(u))
+					if due := round + delay; due < c.horizon[key] {
+						c.res.Reordered++ // an overtake on this edge
 					} else {
-						pend = append(pend, syncPend{due: round + delay, from: v, to: int32(u), letter: f.Letter})
+						c.horizon[key] = due
 					}
+				}
+				if delay == 0 {
+					rc.setPort(u, cur.NbrOff[u]+cur.RevPort[k], f.Letter)
+				} else {
+					c.pend = append(c.pend, syncPend{due: round + delay, from: v, to: int32(u), letter: f.Letter})
 				}
 			}
 		}
-
-		if cfg.Observer != nil {
-			cfg.Observer(round, states)
-		}
-		if nextBatch == len(sc.Batches) && outputs == target() {
-			stable++
-		} else {
-			stable = 0
-		}
-		if stable >= 2 || (stable >= 1 && len(res.PerturbedAt) == 0) {
-			res.Rounds = round
-			if len(res.PerturbedAt) > 0 {
-				res.RecoveryRounds = round - lastPerturb
-			}
-			res.Dropped, res.Duplicated, res.Delayed, res.Corrupted = chStats.Dropped, chStats.Duplicated, chStats.Delayed, chStats.Corrupted
-			return res, nil
-		}
 	}
-	return nil, fmt.Errorf("%w: %s after %d rounds", ErrNoConvergence, machineName(p.m), maxRounds)
+	st := &c.stats
+	c.res.Dropped, c.res.Duplicated, c.res.Delayed, c.res.Corrupted = st.Dropped, st.Duplicated, st.Delayed, st.Corrupted
 }

@@ -1,8 +1,8 @@
 package engine_test
 
 // The dynamic-network differential suite: the compiled executors with a
-// scenario (runSyncScenario behind SyncConfig.Scenario, and the
-// scenario hook inside Program.RunAsyncReusing's event loop) must be
+// scenario (the scenario hooks inside Program.RunSyncReusing's round
+// loop and Program.RunAsyncReusing's event loop) must be
 // bit-identical to the reference engines RunSyncRef / RunAsyncRef on
 // every (machine, graph, scenario, seed) cell — rounds/times, counts,
 // states, perturbation log, recovery metrics and the final graph. The
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"testing"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/engine"
 	"stoneage/internal/graph"
 	"stoneage/internal/mis"
@@ -247,6 +248,70 @@ func TestDynamicStaticParity(t *testing.T) {
 			}
 		}
 	}
+
+	// A channel model alone keeps a run static in both environments: the
+	// fast and the reference engine, on a graph-bound and on a CSR-only
+	// program, accept the run, agree bit for bit, and report no dynamic
+	// extras.
+	t.Run("channel-only", func(t *testing.T) {
+		// A flood wave from node 0: under duplication and reordering every
+		// ping still lands, so both environments converge.
+		fm := flood()
+		init := make([]nfsm.State, g.N())
+		init[0] = 1
+		code := engine.CompileMachine(fm)
+		progs := map[string]*engine.Program{"Bind": code.Bind(g), "BindCSR": code.BindCSR(g.CSR())}
+		model := channel.Stack{channel.Duplicate{Rate: 0.3, MaxCopies: 2, Seed: 3}, channel.Reorder{Window: 2, Seed: 4}}
+
+		scfg := engine.SyncConfig{Seed: 9, Init: init, MaxRounds: 1 << 12, Channel: model}
+		sref, err := engine.RunSyncRef(fm, g, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sref.Rounds < 2 || sref.Duplicated == 0 || sref.Delayed == 0 {
+			t.Fatalf("channel-only run exercised nothing: %+v", sref)
+		}
+		if sref.PerturbedAt != nil || sref.FinalGraph != nil {
+			t.Fatal("RunSyncRef: channel-only run reports dynamic extras")
+		}
+		for name, prog := range progs {
+			got, err := prog.RunSync(scfg)
+			if err != nil {
+				t.Fatalf("RunSync on %s: %v", name, err)
+			}
+			if got.Rounds != sref.Rounds || got.Transmissions != sref.Transmissions || !sameStates(got.States, sref.States) ||
+				got.Duplicated != sref.Duplicated || got.Delayed != sref.Delayed || got.Reordered != sref.Reordered {
+				t.Fatalf("RunSync on %s diverges from RunSyncRef: %+v vs %+v", name, got, sref)
+			}
+			if got.PerturbedAt != nil || got.FinalGraph != nil {
+				t.Fatalf("RunSync on %s: channel-only run reports dynamic extras", name)
+			}
+		}
+
+		acfg := func() engine.AsyncConfig {
+			return engine.AsyncConfig{Seed: 9, Init: init, Adversary: engine.UniformRandom{Seed: 4}, MaxSteps: 1 << 20, Channel: model}
+		}
+		aref, err := engine.RunAsyncRef(fm, g, acfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aref.PerturbedAt != nil || aref.FinalGraph != nil {
+			t.Fatal("RunAsyncRef: channel-only run reports dynamic extras")
+		}
+		for name, prog := range progs {
+			got, err := prog.RunAsync(acfg())
+			if err != nil {
+				t.Fatalf("RunAsync on %s: %v", name, err)
+			}
+			if got.Time != aref.Time || got.Steps != aref.Steps || got.Transmissions != aref.Transmissions ||
+				!sameStates(got.States, aref.States) || got.Duplicated != aref.Duplicated || got.Reordered != aref.Reordered {
+				t.Fatalf("RunAsync on %s diverges from RunAsyncRef", name)
+			}
+			if got.PerturbedAt != nil || got.FinalGraph != nil {
+				t.Fatalf("RunAsync on %s: channel-only run reports dynamic extras", name)
+			}
+		}
+	})
 }
 
 // TestAsyncInFlightReAddedEdge pins delivery resolution against the

@@ -131,14 +131,3 @@ func (c *counter) counts(q nfsm.State, ports []nfsm.Letter) []nfsm.Count {
 	}
 	return c.buf
 }
-
-// countOutputs returns how many nodes currently reside in output states.
-func countOutputs(m nfsm.Machine, states []nfsm.State) int {
-	n := 0
-	for _, q := range states {
-		if m.IsOutput(q) {
-			n++
-		}
-	}
-	return n
-}

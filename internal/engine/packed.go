@@ -1,54 +1,39 @@
 package engine
 
 import (
-	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"stoneage/internal/nfsm"
 )
 
-// This file is the bit-plane synchronous backend. The flat executor
-// spends a word per node state and a word per directed-edge port; at
-// n = 10⁶ that layout is bandwidth-bound long before it is
-// compute-bound. The paper's protocols are constant-space nFSMs — MIS
-// has 3 states, counters clamp at b ≤ 3 — so the packed backend stores
-// the whole mutable run state as structure-of-arrays bit-planes, 64
-// nodes per machine word:
-//
-//   - ⌈log₂|Q|⌉ state planes,
-//   - ⌈log₂|Σ|⌉ last-emission planes (every out-port of node v holds
-//     v's last non-ε emission, so the 2m per-edge port array of the
-//     flat layout collapses to a per-node letter),
-//   - per letter, ⌈log₂(Δ+1)⌉ exact-count planes (Δ = max degree),
-//     maintained by ripple-carry single-lane increments, with the
-//     clamped value derived word-parallel by threshold masks,
-//   - one stability plane scheduling the sparse tail of convergence:
-//     a node whose next evaluation is provably a lone silent self-loop
-//     is skipped until a delivery changes its counts, and an
-//     all-stable word costs one load per round.
-//
-// The backend is bit-identical to the flat executor at every worker
-// count: nfsm.PickMove is a stateless hash of (seed, node, round), the
-// round structure (compute → deliver → observe → converge-check) is
-// mirrored exactly, and skipping a stable node elides a provable
-// no-op. TestDifferentialPackedSync and the packed arm of
-// FuzzDifferentialSync enforce this.
+// This file is the bit-plane kernel of the synchronous round loop. The
+// flat kernel spends a word per node state and per directed-edge port,
+// which at n = 10⁶ is bandwidth-bound long before it is compute-bound.
+// The paper's protocols are constant-space nFSMs (MIS has 3 states,
+// counters clamp at b ≤ 3), so the packed kernel stores the mutable run
+// state as structure-of-arrays bit-planes, 64 nodes per word: state
+// planes, last-emission planes (every out-port of v holds v's last
+// non-ε emission, so the 2m-entry port array collapses to a per-node
+// letter), exact-count planes per letter (ripple-carry increments,
+// clamped word-parallel by threshold masks), and a stability plane that
+// skips nodes whose next evaluation is provably a lone silent self-loop
+// (DESIGN.md, "Bit-plane execution"). nfsm.PickMove is a stateless hash
+// of (seed, node, round) and a skipped node's step is a no-op, so the
+// kernel is bit-identical to the flat one at every worker count
+// (TestDifferentialPackedSync, the packed arm of FuzzDifferentialSync).
 
 // Backend names accepted by SyncConfig.Backend.
 const (
-	// BackendFlat forces the word-per-node flat executor.
+	// BackendFlat forces the word-per-node flat kernel.
 	BackendFlat = "flat"
-	// BackendPacked forces the bit-plane executor; it errors on
-	// machines that are not packed-eligible and on scenario or channel
-	// runs (those stay flat — see DESIGN.md).
+	// BackendPacked forces the bit-plane kernel; it errors on machines
+	// that are not packed-eligible and on scenario or channel runs.
 	BackendPacked = "packed"
 )
 
 // packedAutoThreshold is the node count at which an empty
 // SyncConfig.Backend auto-selects the packed backend for an eligible
-// machine. Below it the flat executor's per-node simplicity wins;
+// machine. Below it the flat kernel's per-node simplicity wins;
 // above it the plane layout's footprint (a few bytes per node) does.
 const packedAutoThreshold = 1 << 16
 
@@ -82,7 +67,7 @@ func (c *MachineCode) packedCode() *packedCode {
 // letter spaces that fit the plane encodings. All of the paper's
 // flat-compiled protocols qualify; dynamic-fallback machines (the
 // synchro compilers, the coloring protocol's untabulatable domain) do
-// not and stay on the flat executor.
+// not and stay on the flat kernel.
 func (c *MachineCode) PackedEligible() bool { return c.packedCode().ok }
 
 func buildPackedCode(c *MachineCode) *packedCode {
@@ -119,18 +104,12 @@ func planeWidth(k int) int {
 	return bits.Len(uint(k - 1))
 }
 
-// packedEmit records one changed emission for count routing: node v's
-// last-emission letter moved old → nw, so every neighbor's count pair
-// must be adjusted.
+// packedEmit records one changed emission: a last-emission letter moved
+// old → nw, so one count of every neighbor moves with it. In an emitter
+// list v is the emitter; in a route bucket it is the neighbor whose
+// counts change.
 type packedEmit struct {
 	v       int32
-	old, nw int16
-}
-
-// countWrite is a packedEmit routed to the destination node's word
-// shard (the packed analogue of portWrite).
-type countWrite struct {
-	u       int32
 	old, nw int16
 }
 
@@ -151,14 +130,24 @@ type packedScratch struct {
 	stable   []uint64
 	tail     uint64 // valid-lane mask of the last word
 
-	emits    []packedEmit // sequential emitter buffer
-	cw0, cw1 []uint64     // sequential clamped-count word buffers (per letter)
+	// Per-worker buffers: changed-emission lists, per-letter clamped-count
+	// words, and route buckets (see routeBuckets).
+	emits    [][]packedEmit
+	cw0, cw1 [][]uint64
+	buckets  [][][]packedEmit
 }
 
 // footprintBytes reports the bytes the packed run state retains — the
 // bytes-per-node regression guard reads it.
 func (ps *packedScratch) footprintBytes() int {
-	return 8 * (cap(ps.planeBuf) + cap(ps.cw0) + cap(ps.cw1) + cap(ps.emits))
+	words := cap(ps.planeBuf)
+	for w := range ps.emits {
+		words += cap(ps.cw0[w]) + cap(ps.cw1[w]) + cap(ps.emits[w])
+		for _, b := range ps.buckets[w] {
+			words += cap(b)
+		}
+	}
+	return 8 * words
 }
 
 // reset (re)initializes the planes for a run of p on its bound CSR with
@@ -240,12 +229,6 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 			}
 		}
 	}
-
-	if cap(ps.cw0) < p.nl {
-		ps.cw0 = make([]uint64, p.nl)
-		ps.cw1 = make([]uint64, p.nl)
-	}
-	ps.cw0, ps.cw1 = ps.cw0[:p.nl], ps.cw1[:p.nl]
 }
 
 // countInc adds one to node u's count of letter l (single-lane
@@ -285,134 +268,50 @@ func (ps *packedScratch) decodeStates(states []nfsm.State) {
 	}
 }
 
-// packedShardResult carries one worker's per-round aggregates.
-type packedShardResult struct {
-	tx       int64
-	outDelta int
-	live     bool
-	err      error
+// packedKernel is the bit-plane kernel of the round loop. Its units are
+// plane words, so two workers never read-modify-write the same word,
+// and count updates are routed to the shard owning the destination
+// word: the flat kernel's ownership discipline lifted to 64-node words.
+type packedKernel struct {
+	p       *Program
+	pc      *packedCode
+	ps      *packedScratch
+	seed    uint64
+	shardOf []int32 // plane word → owning shard (sharded runs only)
 }
 
-// packedExec owns a packed execution's buffers and optional worker
-// pool. The sharding is word-aligned: a worker owns whole plane words,
-// so two workers never read-modify-write the same word in the compute
-// phase, and the deliver phase routes count updates to the shard owning
-// the destination word — the same ownership discipline as syncExec,
-// lifted from nodes to 64-node words.
-type packedExec struct {
-	p    *Program
-	pc   *packedCode
-	ps   *packedScratch
-	seed uint64
-
-	emitters [][]packedEmit // per-worker changed-emission lists
-	cw0, cw1 [][]uint64     // per-worker per-letter clamped-count words
-
-	// Worker pool state (nil/empty when sequential).
-	cmds     []chan int
-	wg       sync.WaitGroup
-	loW, hiW []int
-	results  []packedShardResult
-	buckets  [][][]countWrite
-	shardOfW []int32
+func (e *packedKernel) shard(_ *Scratch, pool *shardPool) {
+	ps, w := e.ps, len(pool.lo)
+	e.shardOf = pool.shardOf
+	ps.emits = perWorker(ps.emits, w)
+	ps.cw0, ps.cw1 = perWorker(ps.cw0, w), perWorker(ps.cw1, w)
+	for i := 0; i < w; i++ {
+		ps.cw0[i], ps.cw1[i] = grow(ps.cw0[i], ps.nl, 0), grow(ps.cw1[i], ps.nl, 0)
+	}
+	ps.buckets = routeBuckets(ps.buckets, w)
 }
 
-func (e *packedExec) startWorkers(workers int) (stop func()) {
-	nw := e.ps.nw
-	nl := e.ps.nl
-	e.cmds = make([]chan int, workers)
-	e.loW = make([]int, workers)
-	e.hiW = make([]int, workers)
-	e.results = make([]packedShardResult, workers)
-	e.emitters = make([][]packedEmit, workers)
-	e.cw0 = make([][]uint64, workers)
-	e.cw1 = make([][]uint64, workers)
-	e.buckets = make([][][]countWrite, workers)
-	e.shardOfW = make([]int32, nw)
-	for i := 0; i < workers; i++ {
-		e.loW[i] = i * nw / workers
-		e.hiW[i] = (i + 1) * nw / workers
-		for w := e.loW[i]; w < e.hiW[i]; w++ {
-			e.shardOfW[w] = int32(i)
-		}
-		e.cw0[i] = make([]uint64, nl)
-		e.cw1[i] = make([]uint64, nl)
-		e.buckets[i] = make([][]countWrite, workers)
-		e.cmds[i] = make(chan int, 1)
-		go func(i int) {
-			for c := range e.cmds[i] {
-				if c > 0 {
-					tx, d, live, err := e.compute(e.loW[i], e.hiW[i], c, i)
-					e.results[i] = packedShardResult{tx: tx, outDelta: d, live: live, err: err}
-				} else {
-					e.deliverBuckets(i)
-				}
-				e.wg.Done()
-			}
-		}(i)
-	}
-	return func() {
-		for _, c := range e.cmds {
-			close(c)
-		}
-	}
-}
-
-func (e *packedExec) broadcast(code int) {
-	e.wg.Add(len(e.cmds))
-	for _, c := range e.cmds {
-		c <- code
-	}
-	e.wg.Wait()
-}
-
-func (e *packedExec) computePhase(round int) (int64, int, bool, error) {
-	if e.cmds == nil {
-		return e.compute(0, e.ps.nw, round, 0)
-	}
-	e.broadcast(round)
-	var tx int64
-	var outDelta int
-	var live bool
-	for i := range e.results {
-		if err := e.results[i].err; err != nil {
-			return 0, 0, false, err
-		}
-		tx += e.results[i].tx
-		outDelta += e.results[i].outDelta
-		live = live || e.results[i].live
-	}
-	return tx, outDelta, live, nil
-}
-
-func (e *packedExec) deliverPhase() {
-	if e.cmds == nil {
-		e.deliver()
-		return
-	}
-	e.broadcast(-1)
-}
+func (e *packedKernel) decode(states []nfsm.State) { e.ps.decodeStates(states) }
 
 // compute evaluates every live node of the word range [loW, hiW). Per
-// live word it first derives, word-parallel, the clamped count of every
-// letter for all 64 lanes via threshold masks over the count planes
-// (ge1 = any plane set; ge2 = any plane ≥ 1 set; ge3 = any plane ≥ 2
-// set, or planes 1 and 0 both set), then walks the live lanes: gather
-// state bits, look up the δ row — the same p.delta rows and the same
-// nfsm.PickMove coin as the flat executor, so the drawn move is
-// bit-identical — apply the state change to the planes, and record a
-// changed emission for the deliver phase. Finally the node's upcoming
-// observation is tested against the settled bitset (counts are frozen
-// during compute, so the count half of the observation is current):
-// settled nodes set their stability bit and are skipped until a
-// delivery disturbs their counts.
-func (e *packedExec) compute(loW, hiW, round, worker int) (tx int64, outDelta int, live bool, err error) {
+// live word it derives every letter's clamped count for all 64 lanes by
+// threshold masks over the count planes (ge1 = any plane set; ge2 = any
+// plane ≥ 1 set; ge3 = any plane ≥ 2 set, or planes 1 and 0 both set),
+// then walks the live lanes: the same δ rows and PickMove coin as the
+// flat kernel, the state change applied to the planes, a changed
+// emission recorded. A node whose upcoming observation (counts are
+// frozen during compute) hits the settled bitset sets its stability
+// bit and is skipped until a delivery disturbs its counts.
+func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 	p, pc, ps := e.p, e.pc, e.ps
 	seed := e.seed
 	mask := p.outMask
-	emitters := e.emitters[worker][:0]
-	defer func() { e.emitters[worker] = emitters }()
-	c0, c1 := e.cw0[worker], e.cw1[worker]
+	emitters := ps.emits[worker][:0]
+	defer func() { ps.emits[worker] = emitters }()
+	c0, c1 := ps.cw0[worker], ps.cw1[worker]
+	var tx int64
+	var outDelta int
+	live := false
 	nl, b := ps.nl, p.b
 	wC, wQ, wE := ps.wC, ps.wQ, ps.wE
 	single := p.kind == progFlatSingle
@@ -485,7 +384,7 @@ func (e *packedExec) compute(loW, hiW, round, worker int) (tx int64, outDelta in
 			}
 			row := p.delta[eIdx]
 			if len(row) == 0 {
-				return tx, outDelta, live, deltaEmptyErr(v, nfsm.State(q), round)
+				return shardResult{tx: tx, outDelta: outDelta, err: deltaEmptyErr(v, nfsm.State(q), round)}
 			}
 			mv := nfsm.PickMove(seed, v, round, row)
 			nq2 := int(mv.Next)
@@ -534,26 +433,25 @@ func (e *packedExec) compute(loW, hiW, round, worker int) (tx int64, outDelta in
 			}
 		}
 	}
-	if e.cmds != nil {
+	if len(e.shardOf) > 0 {
 		e.route(worker, emitters)
 	}
-	return tx, outDelta, live, nil
+	return shardResult{tx: tx, outDelta: outDelta, frozen: !live}
 }
 
-// route buckets the worker's changed emissions by the destination
-// node's word shard, still inside the compute phase.
-func (e *packedExec) route(worker int, emitters []packedEmit) {
+// route buckets the worker's changed emissions by destination shard.
+func (e *packedKernel) route(worker int, emitters []packedEmit) {
 	csr := e.p.csr
 	off, nbr := csr.NbrOff, csr.NbrDat
-	bk := e.buckets[worker]
+	bk := e.ps.buckets[worker]
 	for s := range bk {
 		bk[s] = bk[s][:0]
 	}
 	for _, em := range emitters {
 		for k := off[em.v]; k < off[em.v+1]; k++ {
 			u := nbr[k]
-			s := e.shardOfW[u>>6]
-			bk[s] = append(bk[s], countWrite{u: u, old: em.old, nw: em.nw})
+			s := e.shardOf[u>>6]
+			bk[s] = append(bk[s], packedEmit{v: u, old: em.old, nw: em.nw})
 		}
 	}
 }
@@ -563,11 +461,11 @@ func (e *packedExec) route(worker int, emitters []packedEmit) {
 // and wakes the neighbor. The ±1 plane updates are exact, so any
 // application order yields the same planes — which is what makes the
 // sharded variant bit-identical.
-func (e *packedExec) deliver() {
+func (e *packedKernel) deliver(int) {
 	csr := e.p.csr
 	off, nbr := csr.NbrOff, csr.NbrDat
 	ps := e.ps
-	for _, lst := range e.emitters {
+	for _, lst := range ps.emits {
 		for _, em := range lst {
 			for k := off[em.v]; k < off[em.v+1]; k++ {
 				u := nbr[k]
@@ -579,105 +477,15 @@ func (e *packedExec) deliver() {
 	}
 }
 
-// deliverBuckets applies exactly the count updates routed to this
-// worker's words. Increments and decrements commute and the stability
-// clear is idempotent, so the post-round planes are identical at every
-// worker count.
-func (e *packedExec) deliverBuckets(shard int) {
+// deliverShard applies exactly the count updates routed to the shard;
+// they commute, so the planes are identical at every worker count.
+func (e *packedKernel) deliverShard(shard int) {
 	ps := e.ps
-	for w := range e.buckets {
-		for _, d := range e.buckets[w][shard] {
-			ps.countDec(int(d.old), d.u)
-			ps.countInc(int(d.nw), d.u)
-			ps.stable[d.u>>6] &^= 1 << (uint(d.u) & 63)
+	for w := range ps.buckets {
+		for _, d := range ps.buckets[w][shard] {
+			ps.countDec(int(d.old), d.v)
+			ps.countInc(int(d.nw), d.v)
+			ps.stable[d.v>>6] &^= 1 << (uint(d.v) & 63)
 		}
 	}
-}
-
-// runSyncPacked executes the program on the bit-plane backend. The
-// round loop mirrors RunSyncReusing's flat loop statement for
-// statement (compute → deliver → observe → converge-check), with one
-// addition: when a round evaluates no node at all, the configuration is
-// frozen forever (stable nodes never change their counts or states), so
-// a run that cannot converge fails fast instead of spinning out the
-// round budget — unless an Observer is attached, which contractually
-// sees every round.
-func (p *Program) runSyncPacked(cfg SyncConfig, scr *Scratch) (*SyncResult, error) {
-	pc := p.packedCode()
-	if !pc.ok {
-		return nil, fmt.Errorf("engine: machine %s is not packed-eligible (flat-tabulated, b ≤ %d required)", machineName(p.m), maxPackedB)
-	}
-	if !cfg.Scenario.Empty() || cfg.Channel != nil {
-		return nil, fmt.Errorf("engine: the packed backend supports neither scenarios nor channel models")
-	}
-	if scr == nil {
-		scr = NewScratch()
-	}
-	n := p.csr.N()
-	states, err := initialStates(p.m, n, cfg.Init)
-	if err != nil {
-		return nil, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 1 << 20
-	}
-
-	scr.bind(p.MachineCode)
-	ps := scr.packed()
-	ps.reset(p, pc, states)
-
-	res := &SyncResult{States: states}
-	outputs := countOutputs(p.m, states)
-	if outputs == n {
-		return res, nil
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if max := n / minShard; workers > max {
-			workers = max
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > ps.nw {
-		workers = ps.nw
-	}
-
-	exec := &packedExec{p: p, pc: pc, ps: ps, seed: cfg.Seed}
-	if workers > 1 {
-		stop := exec.startWorkers(workers)
-		defer stop()
-	} else {
-		exec.emitters = [][]packedEmit{ps.emits[:0]}
-		exec.cw0 = [][]uint64{ps.cw0}
-		exec.cw1 = [][]uint64{ps.cw1}
-		defer func() { ps.emits = exec.emitters[0][:0] }()
-	}
-
-	for round := 1; round <= maxRounds; round++ {
-		tx, outDelta, liveRound, err := exec.computePhase(round)
-		if err != nil {
-			return nil, err
-		}
-		res.Transmissions += tx
-		outputs += outDelta
-		exec.deliverPhase()
-		if cfg.Observer != nil {
-			ps.decodeStates(states)
-			cfg.Observer(round, states)
-		}
-		if outputs == n {
-			res.Rounds = round
-			ps.decodeStates(states)
-			return res, nil
-		}
-		if !liveRound && cfg.Observer == nil {
-			break
-		}
-	}
-	return nil, fmt.Errorf("%w: %s after %d rounds", ErrNoConvergence, machineName(p.m), maxRounds)
 }

@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"testing"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/coloring"
 	"stoneage/internal/degcolor"
 	"stoneage/internal/engine"
 	"stoneage/internal/graph"
 	"stoneage/internal/mis"
 	"stoneage/internal/nfsm"
+	"stoneage/internal/scenario"
 	"stoneage/internal/ssmis"
 	"stoneage/internal/xrand"
 )
@@ -157,8 +159,10 @@ func TestPackedNoConvergence(t *testing.T) {
 }
 
 // TestPackedBackendErrors pins the explicit-backend error paths: an
-// ineligible machine, an unknown backend name, and a scenario run must
-// all fail loudly rather than silently fall back.
+// ineligible machine, an unknown backend name, and a scenario or channel
+// run under a forced packed backend must all fail loudly rather than
+// silently fall back. The backend is validated in one place, so each
+// fault fails with one message whatever the run's shape.
 func TestPackedBackendErrors(t *testing.T) {
 	g := graph.Path(8)
 	// coloring stays dynamic (269·4¹² domain): not packed-eligible.
@@ -170,7 +174,24 @@ func TestPackedBackendErrors(t *testing.T) {
 		t.Error("packed backend accepted an ineligible machine")
 	}
 	misCode := engine.CompileMachine(mis.Protocol())
-	if _, err := misCode.Bind(g).RunSync(engine.SyncConfig{Backend: "simd"}); err == nil {
-		t.Error("unknown backend name accepted")
+	_, unknownErr := misCode.Bind(g).RunSync(engine.SyncConfig{Backend: "simd"})
+	if unknownErr == nil {
+		t.Fatal("unknown backend name accepted")
+	}
+	crash := &scenario.Scenario{Reset: scenario.ResetNone, Batches: []scenario.Batch{
+		{At: 1, Muts: []graph.Mutation{{Kind: graph.MutCrashNode, U: 0}}},
+	}}
+	drop := channel.Drop{Rate: 0.1, Seed: 1}
+	_, scenarioErr := misCode.Bind(g).RunSync(engine.SyncConfig{Backend: engine.BackendPacked, Scenario: crash})
+	_, channelErr := misCode.Bind(g).RunSync(engine.SyncConfig{Backend: engine.BackendPacked, Channel: drop})
+	if scenarioErr == nil || channelErr == nil {
+		t.Fatalf("packed backend accepted a dynamic run: scenario %v, channel %v", scenarioErr, channelErr)
+	}
+	if scenarioErr.Error() != channelErr.Error() {
+		t.Errorf("packed rejections differ:\nscenario: %v\nchannel:  %v", scenarioErr, channelErr)
+	}
+	_, unknownScenarioErr := misCode.Bind(g).RunSync(engine.SyncConfig{Backend: "simd", Scenario: crash})
+	if unknownScenarioErr == nil || unknownScenarioErr.Error() != unknownErr.Error() {
+		t.Errorf("unknown backend with a scenario: %v, want %v", unknownScenarioErr, unknownErr)
 	}
 }

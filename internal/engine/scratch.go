@@ -5,24 +5,15 @@ import (
 	"stoneage/internal/nfsm"
 )
 
-// Scratch is a reusable per-execution arena. A run needs per-node and
-// per-directed-edge working state — port letters, count aggregates,
-// event queue storage, delivery pools, adversary bookkeeping — that is
-// identical in shape from run to run; allocating it fresh every time
-// dominated the allocation profile of tight run loops (campaign trials,
-// benchmarks, parameter sweeps). Passing a Scratch to
-// Program.RunSyncReusing / Program.RunAsyncReusing reuses all of it:
-// after the first run on a given program shape, steady-state execution
-// performs no queue or counter allocations at all.
-//
-// A Scratch is not safe for concurrent use: give each worker goroutine
-// its own (the campaign runner holds one per worker and reuses it
-// across every trial the worker executes).
-//
-// Machine-keyed memos (δ-row and output-set caches for dynamic-fallback
-// machines) also live here and survive across runs; they are
-// invalidated automatically when the scratch is used with a different
-// machine.
+// Scratch is a reusable per-execution arena: the per-node,
+// per-directed-edge and per-worker working state of a run (ports, count
+// aggregates, event queues, delivery pools, shard buffers), which
+// Program.RunSyncReusing / Program.RunAsyncReusing reuse so that
+// steady-state execution performs no queue or counter allocations. It
+// also keeps machine-keyed memos (δ-row and output-set caches of
+// dynamic-fallback machines), invalidated when the scratch moves to a
+// different machine. A Scratch is not safe for concurrent use: give
+// each worker goroutine its own, as the campaign runner does.
 type Scratch struct {
 	rc runCounts
 	ds dynScratch
@@ -37,8 +28,14 @@ type Scratch struct {
 	// first packed use for the same reason.
 	pk *packedScratch
 
-	emits    []nfsm.Letter // sync executor's per-round emission buffer
-	emitters []int32       // sync executor's sequential emitter list
+	// The synchronous round: the shard pool and the flat kernel's
+	// emission buffer, per-worker buffers and channel hook.
+	emits    []nfsm.Letter
+	pool     shardPool
+	emitters [][]int32
+	dss      []dynScratch
+	buckets  [][][]portWrite
+	ch       syncChannel
 
 	lastCode *MachineCode
 }
@@ -110,6 +107,11 @@ func (s *Scratch) bind(c *MachineCode) {
 	}
 	s.lastCode = c
 	s.ds.invalidate()
+	// Idle workers' memos too: a later run may re-enable them unbound.
+	all := s.dss[:cap(s.dss)]
+	for i := range all {
+		all[i].invalidate()
+	}
 	s.rc.dynQuery = s.rc.dynQuery[:0]
 }
 

@@ -26,40 +26,37 @@ type SyncConfig struct {
 	// must not retain or modify it). Used by the analysis
 	// instrumentation of Sections 4 and 5.
 	Observer func(round int, states []nfsm.State)
-	// Workers shards the per-round compute and deliver phases across
-	// goroutines. Zero selects GOMAXPROCS, scaled down so every worker
-	// keeps at least minShard nodes; an explicit positive value is used
-	// as given. The result is bit-identical for every worker count —
-	// every node's move is drawn from the node-indexed deterministic
-	// coin, independent of evaluation order. Machines whose transition
-	// is not known to be pure (e.g. the lazily-interning synchro
-	// compilers) always run on one worker. Dynamic runs (Scenario set)
-	// are sequential; Workers is ignored there.
+	// Workers shards each round's compute and deliver phases over one
+	// pool of goroutines, for either backend. Zero selects GOMAXPROCS,
+	// scaled down so every worker keeps at least minShard nodes; an
+	// explicit positive value is used as given. The result is
+	// bit-identical for every worker count: every node's move is drawn
+	// from the node-indexed coin, independent of evaluation order.
+	// Machines whose transition is not known to be pure (the
+	// lazily-interning synchro compilers) run on one worker, and so do
+	// scenario and channel runs: Workers is ignored there.
 	Workers int
 	// Scenario, when non-nil and non-empty, makes the run dynamic: the
-	// engine applies each mutation batch after round int(Batch.At)
+	// round loop applies each mutation batch after round int(Batch.At)
 	// completes, carries surviving node and port state across topology
 	// re-binds, resets perturbed nodes per the scenario's reset policy
 	// (which must be concrete — the protocol layer resolves ResetAuto),
-	// and reports recovery metrics. Nil or empty scenarios take the
-	// unchanged static path.
+	// and reports recovery metrics. It needs a graph-bound program
+	// (Bind). A nil or empty scenario is the static run.
 	Scenario *scenario.Scenario
-	// Channel, when non-nil, subjects every transmission to an
-	// unreliable-link model, realized as a per-round port filter: each
-	// per-neighbor copy is expanded through the model into zero or more
+	// Channel, when non-nil, expands every per-neighbor copy of a
+	// transmission through an unreliable-link model into zero or more
 	// delivered fates (dropped, duplicated, corrupted, or — for a
 	// reordering model — delayed by whole rounds; see package channel).
-	// Channel runs are sequential like dynamic runs; a nil Channel is
-	// the unchanged path.
+	// A channel alone keeps the run static, on either binding.
 	Channel channel.Model
-	// Backend selects the synchronous executor. Empty means automatic:
-	// the bit-plane packed backend (see packed.go) when the machine is
-	// packed-eligible, the run is static (no Scenario, no Channel) and
-	// the graph is large enough to profit; the flat executor otherwise.
-	// BackendFlat forces the flat executor; BackendPacked forces the
+	// Backend selects the round loop's kernel. Empty means automatic:
+	// the bit-plane kernel (packed.go) when the machine is
+	// packed-eligible, the run has neither Scenario nor Channel and the
+	// graph is large enough to profit; the flat kernel otherwise.
+	// BackendFlat forces the flat kernel; BackendPacked forces the
 	// packed one and errors when the machine or run shape does not
-	// support it. All backends are bit-identical on the runs they
-	// share, so the choice is purely a performance knob.
+	// support it. The kernels are bit-identical on the runs they share.
 	Backend string
 }
 
@@ -83,8 +80,9 @@ type SyncResult struct {
 	// configuration (0 when nothing was perturbed).
 	RecoveryRounds int
 	// FinalGraph is the post-mutation topology of a dynamic run — the
-	// graph any output validator must be checked against. Nil for
-	// static runs (the input graph is the final graph).
+	// graph any output validator must be checked against (the bound
+	// graph itself when no batch changed the topology; treat it as
+	// read-only). Nil for static runs.
 	FinalGraph *graph.Graph
 
 	// Channel-model bookkeeping (all zero when no model is configured).
@@ -109,7 +107,7 @@ type SyncResult struct {
 // synchronization properties (S1) and (S2) exactly.
 //
 // RunSync executes through the compiled fast path: it lowers m against g
-// with Compile and runs the flat program. Callers that execute the same
+// with Compile and runs the compiled program. Callers that execute the same
 // machine on the same graph repeatedly should Compile once and invoke
 // Program.RunSync directly to amortize the lowering. The original
 // interpreting engine survives as RunSyncRef; the two are bit-identical

@@ -25,14 +25,13 @@ import (
 // RunSyncRef is the reference synchronous engine. It is kept as the
 // oracle the compiled executors are differentially tested against
 // (TestDifferentialSyncEngines, TestDifferentialDynamicSync); use
-// RunSync everywhere else. A run with neither a non-empty scenario nor
-// a channel model is static and reports no dynamic extras (nil
+// RunSync everywhere else. A run with an empty scenario is static —
+// with or without a channel model — and reports no dynamic extras (nil
 // PerturbedAt and FinalGraph).
 func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, error) {
 	sc := cfg.Scenario
-	static := sc.Empty() && cfg.Channel == nil
-	if sc == nil || static {
-		// A channel model alone runs the empty scenario.
+	static := sc.Empty()
+	if static {
 		sc = &scenario.Scenario{Reset: scenario.ResetNone}
 	}
 	if err := prepScenario(sc, g0); err != nil {
@@ -59,8 +58,8 @@ func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, e
 	}
 	isByz := func(v int) bool { return byz != nil && byz[v] >= 0 }
 
-	// Channel model state; see runSyncScenario — fates expand through
-	// the exact helper the compiled executor uses.
+	// Channel model state; see syncChannel — fates expand through the
+	// exact helper the compiled executor uses.
 	model := cfg.Channel
 	reorders := model != nil && model.Reorders()
 	var chStats channel.Stats
@@ -105,7 +104,7 @@ func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, e
 	nextBatch := 0
 	lastPerturb := 0
 	// Two consecutive stable rounds are required after a perturbation;
-	// see the confirmation-window comment in runSyncScenario.
+	// see the confirmation-window comment in Program.RunSyncReusing.
 	stable := 0
 	if nextBatch == len(sc.Batches) && outputs == target() {
 		return res, nil
@@ -203,7 +202,7 @@ func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, e
 			emits[v] = mv.Emit
 		}
 		// Channel-deferred deliveries land before the round's own
-		// traffic; see runSyncScenario.
+		// traffic; see flatKernel.deliverChannel.
 		if model != nil && len(pend) > 0 {
 			keep := pend[:0]
 			for _, pd := range pend {

@@ -210,7 +210,9 @@ func (s *Scenario) Validate(g *graph.Graph) error {
 			return fmt.Errorf("scenario %s: byzantine node %d has unknown behavior %q", s.Name, b.Node, b.Behavior)
 		}
 	}
-	sim := g.Clone()
+	// sim replays the topology; it is cloned only when a batch first
+	// mutates it (liveness kinds read nothing but the node count).
+	sim := g
 	prev := math.Inf(-1)
 	for i, b := range s.Batches {
 		if math.IsNaN(b.At) || math.IsInf(b.At, 0) || b.At < 0 {
@@ -223,6 +225,9 @@ func (s *Scenario) Validate(g *graph.Graph) error {
 		for _, m := range b.Muts {
 			if err := ApplyLiveness(m, status); err != nil {
 				return fmt.Errorf("scenario %s: batch %d: %w", s.Name, i, err)
+			}
+			if m.Topological() && sim == g {
+				sim = g.Clone()
 			}
 			if err := m.Apply(sim); err != nil {
 				return fmt.Errorf("scenario %s: batch %d: %w", s.Name, i, err)
