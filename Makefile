@@ -1,4 +1,4 @@
-# Tier-1 verification, CI checks and tracked benchmarks.
+# Tier-1 verification, the CI gate and the performance run.
 
 .PHONY: all build test check bench
 
@@ -27,11 +27,13 @@ test:
 # against corruption and Byzantine silence, where the αβ hybrid fails.
 # The engine test line includes the bit-plane memory guard
 # (TestPackedFootprint: packed run state stays under its bytes-per-node
-# budget); the million-node benchmark itself is size-gated off
-# single-core CI and runs via `make bench` on real hardware. The fuzz
-# line is a time-boxed run of the synchronous differential wall: the
-# one round loop (every backend, scenario and channel hook) against the
-# reference engine on fuzz-decoded machines, graphs and scenarios.
+# budget); the streamed million-node run is stonebench's sync-large
+# workload, which `make bench` runs. The benchmark line runs each of the
+# root package's microbenchmarks once, so a broken one fails the gate
+# instead of rotting; it measures nothing. The fuzz line is a
+# time-boxed run of the synchronous differential wall: the one round
+# loop (every backend, scenario and channel hook) against the reference
+# engine on fuzz-decoded machines, graphs and scenarios.
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.
@@ -47,6 +49,7 @@ check: build
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
 	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint' -count=1
+	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go -C stonebench test .
 	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -json /tmp/stonesim-smoke.json
@@ -61,20 +64,13 @@ check: build
 	cmp /tmp/stonesim-shard-1.csv /tmp/stonesim-shard-3.csv
 	@echo "check: OK"
 
-# bench regenerates BENCH_10.json from the tracked benchmark set
-# (E1 MIS sync — including the streamed million-node bit-plane run
-# where the host allows it — E2 MIS async, E3 synchronizer overhead, the αβ
-# tolerant-synchronizer overhead, the voted αβv overhead (burst tax at
-# TU-ratio 1.0 plus the adaptive-backoff re-pulse savings under skew),
-# E5 tree coloring, E9 nFSM-simulates-LBA, the engine ref-vs-compiled
-# and per-step ablations, the campaign sweep, the sharded-sweep
-# dispatch overhead at 1/2/4 procs, and the registry-generated protocol
-# matrix), with -benchmem, then diffs ns/op against the previous
-# BENCH_N.json and warns on >15% regressions. Override the output file
-# or iteration count with BENCH_OUT / BENCH_TIME, the comparison
-# baseline with BENCH_PREV (BENCH_PREV=none skips it).
-BENCH_OUT ?= BENCH_10.json
-BENCH_TIME ?= 20x
-
+# bench is the performance run: stonebench (the benchmark BENCHMARK.json
+# describes; see stonebench/README.md) on each of its three workloads
+# for 20 CPU seconds, then the root package's microbenchmarks with
+# -benchmem. Each microbenchmark answers a question stonebench cannot
+# (DESIGN.md "Benchmarks"); model quantities such as rounds and time
+# units are cmd/experiments' tables.
 bench:
-	sh scripts/bench.sh $(BENCH_OUT) $(BENCH_TIME)
+	for w in sync-large sweep hostile; do \
+		bash stonebench/run.sh --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; done
+	go test -run '^$$' -bench . -benchmem .

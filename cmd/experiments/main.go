@@ -1,6 +1,6 @@
-// Command experiments regenerates every experiment in DESIGN.md's
-// per-experiment index (E1–E11) and prints the tables recorded in
-// EXPERIMENTS.md.
+// Command experiments regenerates every registered experiment — F1
+// (the paper's Figure 1, machine-derived) and E1–E14 — and prints its
+// report tables; -exp selects a subset.
 //
 // Usage:
 //
@@ -63,7 +63,7 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	expFlag := fs.String("exp", "all", "comma-separated experiment ids (E1..E11) or \"all\"")
+	expFlag := fs.String("exp", "all", "comma-separated experiment ids (F1, E1..E14) or \"all\"")
 	quick := fs.Bool("quick", false, "smaller sizes and fewer trials")
 	seed := fs.Uint64("seed", 1, "master random seed")
 	out := fs.String("out", "", "write the report to this file instead of stdout")

@@ -10,7 +10,7 @@ func TestRegistryCoversAllExperiments(t *testing.T) {
 	for _, e := range registry() {
 		ids[e.id] = true
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"} {
+	for _, want := range []string{"F1", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14"} {
 		if !ids[want] {
 			t.Errorf("registry missing %s", want)
 		}

@@ -25,12 +25,14 @@
 // cells over re-exec'd worker processes with fsync'd per-cell spill
 // checkpoints, lease-based crash recovery and a coordinator-less
 // claim-directory mode, merging byte-identically to the in-process
-// run at any shard count), BENCH_10.json for
-// the tracked benchmark measurements (regenerate with `make bench`,
-// which also warns on >15% ns/op regressions against the previous
-// snapshot — in CI the warnings become workflow annotations), and
-// examples/ for runnable entry points. The benchmarks in bench_test.go
-// regenerate one measurement per experiment. Tight run loops — the
+// run at any shard count), stonebench/ for the benchmark that
+// BENCHMARK.json describes (the repository's wall-clock and memory
+// ledger: CPU-second medians, bounds, determinism digests and per-layer
+// attribution over three workloads; `make bench` runs them and then the
+// microbenchmarks in bench_test.go, each of which answers a question
+// stonebench cannot), and examples/ for runnable entry points. The
+// paper's model quantities — rounds, time units, expansion factors — are
+// cmd/experiments' report tables. Tight run loops — the
 // campaign workers, `stonesim run -trials`, the benchmarks — reuse
 // per-worker scratch arenas (engine.Scratch / protocol.Scratch), which
 // makes steady-state execution allocation-free; testing.AllocsPerRun
@@ -109,7 +111,8 @@
 // CI gate (also run on every push and pull request by
 // .github/workflows/ci.yml): gofmt, go vet, the race-detector test
 // suite, the allocation-regression and ladder-queue suites, the
-// registry conformance suite, the smoke, all-protocols,
+// registry conformance suite, one iteration of each microbenchmark,
+// the smoke, all-protocols,
 // churn-recovery, channel-robustness and hostile-channel campaigns,
 // and the distributed-sweep gate (the smoke spec sharded over 3 worker
 // processes must emit bytes identical to the single-process run).

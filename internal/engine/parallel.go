@@ -210,8 +210,9 @@ type shardPool struct {
 	lo, hi  []int   // shard s owns units [lo[s], hi[s])
 	shardOf []int32 // unit → owning shard (sharded runs only)
 	results []shardResult
-	cmds    []chan int // per shard: see run
-	wg      sync.WaitGroup
+	cmds    []chan int     // per shard: see run
+	wg      sync.WaitGroup // the phase barrier
+	exited  sync.WaitGroup // the shard goroutines still running
 }
 
 // size splits units over w shards, reusing the pool's storage.
@@ -229,15 +230,19 @@ func (sp *shardPool) size(w, units int) {
 	}
 }
 
-// start launches the shard goroutines and returns their stop function.
+// start launches the shard goroutines and returns their stop function,
+// which returns once every one of them has returned: no goroutine
+// outlives the run.
 func (sp *shardPool) start(k roundKernel) (stop func()) {
 	if len(sp.lo) == 1 {
 		return func() {}
 	}
 	sp.cmds = perWorker(sp.cmds, len(sp.lo))
+	sp.exited.Add(len(sp.cmds))
 	for i := range sp.cmds {
 		sp.cmds[i] = make(chan int, 1)
 		go func(i int) {
+			defer sp.exited.Done()
 			for c := range sp.cmds[i] {
 				if c > 0 {
 					sp.results[i] = k.compute(sp.lo[i], sp.hi[i], c, i)
@@ -252,6 +257,7 @@ func (sp *shardPool) start(k roundKernel) (stop func()) {
 		for _, c := range sp.cmds {
 			close(c)
 		}
+		sp.exited.Wait()
 	}
 }
 

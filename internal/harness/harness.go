@@ -1,7 +1,7 @@
 // Package harness provides the experiment plumbing shared by
-// cmd/experiments and the benchmark suite: trial statistics, scaling-law
-// diagnostics (is a series Θ(log n), Θ(log² n), …?), and fixed-width
-// table rendering for the EXPERIMENTS.md reports.
+// cmd/experiments, the campaign layer and the stonesim CLI: trial
+// statistics, scaling-law diagnostics (is a series Θ(log n), Θ(log² n),
+// …?), and fixed-width table rendering for the experiment reports.
 package harness
 
 import (
