@@ -30,10 +30,13 @@ test:
 # budget); the streamed million-node run is stonebench's sync-large
 # workload, which `make bench` runs. The benchmark line runs each of the
 # root package's microbenchmarks once, so a broken one fails the gate
-# instead of rotting; it measures nothing. The fuzz line is a
-# time-boxed run of the synchronous differential wall: the one round
-# loop (every backend, scenario and channel hook) against the reference
-# engine on fuzz-decoded machines, graphs and scenarios.
+# instead of rotting; it measures nothing. The fuzz lines are time-boxed
+# runs of the two differential walls on fuzz-decoded machines, graphs,
+# scenarios and channels: the one synchronous round loop (every backend,
+# scenario and channel hook) against the synchronous reference engine,
+# then the one asynchronous event loop (parking across scenario batches,
+# the pooled FIFO, the synchronizer tiers) against the asynchronous
+# reference engine.
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.
@@ -51,6 +54,7 @@ check: build
 	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint' -count=1
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
+	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s
 	go -C stonebench test .
 	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -json /tmp/stonesim-smoke.json
 	go run ./cmd/stonesim sweep -spec examples/specs/all-protocols.json -q

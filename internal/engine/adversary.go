@@ -33,15 +33,19 @@ type Adversary interface {
 // time are steps of constant-step-length nodes, and the reference
 // engine's push-order tie-break for those is derivable without
 // materializing every push: larger current step length first (its push
-// happened strictly earlier), node index on equal lengths (equal-length
-// chains recurse to the initial pushes, which are in node order). The
-// executor encodes exactly that into the step events' tie keys (see
-// stepKey), so parking — which elides and reorders pushes — still pops
-// the reference engine's sequence event for event. Policies whose step
-// lengths vary per step over commensurable values (Synchronous, Drift)
-// must not declare it. Networks must stay below 2²⁰ nodes (the tie
-// key's index field); the differential and fuzz walls would surface
-// any violation as a mismatch against the reference engine.
+// happened strictly earlier), then the chain origin on equal lengths
+// (equal-length chains recurse to the pushes that began them: the
+// initial pushes in node order, or a scenario batch's restarts and
+// wakes, the later origin first). The executor encodes exactly that
+// into the step events' tie keys (see stepKey), so parking — which
+// elides and reorders pushes — still pops the reference engine's
+// sequence event for event. Policies whose step lengths vary per step
+// over commensurable values (Synchronous, Drift) must not declare it.
+// The tie key's rank field is 20 bits wide, so a run parks only while
+// its node count plus its scenario's restart and wake mutations stays
+// below 2²⁰ (larger runs are fully materialized); the differential and
+// fuzz walls would surface any violation as a mismatch against the
+// reference engine.
 type TieFree interface {
 	TieFreeTimes() bool
 }

@@ -201,6 +201,50 @@ func TestAllocsAsyncLadder(t *testing.T) {
 	}
 }
 
+// TestAllocsAsyncScenario pins a dynamic α run's steady state: a
+// region crash and its restart batch, under a TieFree adversary, so
+// the pause chains park and every batch materializes and re-schedules
+// them. The origin ranks, the per-batch rank bases and the started
+// list live in the Scratch; what a run allocates is bounded by the
+// scenario (the graph clone, the liveness table, one slice per restart
+// from scenario.Liveness, the perturbation log), never by its steps.
+func TestAllocsAsyncScenario(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 64
+	g := graph.GnpConnected(n, 4.0/n, xrand.New(18))
+	compiled, err := synchro.CompileRound(allocProtocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := Compile(compiled, g)
+	def := scenario.Def{Kind: "crash", Frac: 0.25, At: scenario.Round(2), Every: 3, Reset: "none"}
+	sc, err := def.Generate(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr := NewScratch()
+	seed := uint64(0)
+	run := func() {
+		seed++
+		cfg := AsyncConfig{Seed: seed, Adversary: UniformRandom{Seed: seed}, Scenario: sc}
+		if _, err := prog.RunAsyncReusing(cfg, scr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	// The count the executor measured before scenario runs parked:
+	// parking must not add a per-run allocation.
+	const maxAllocs = 97
+	if allocs > maxAllocs {
+		t.Fatalf("async scenario run allocates %.1f objects/op, want ≤ %d", allocs, maxAllocs)
+	}
+}
+
 // TestAllocsAsyncVoted pins the voted tier's steady state: the decoder
 // allocates its per-edge state (rings, stall counters, backoff
 // windows) once per run up front, and after that the vote, the strike

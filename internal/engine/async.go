@@ -18,12 +18,16 @@ import (
 // nodes, and for those the reference's push order is derivable: the
 // node with the larger current step length pushed earlier (its
 // previous step was earlier), and equal lengths recurse down identical
-// chains to the initial pushes, which are in node order. Packing the
-// inverted float bits of the length (descending) over the node index
-// (ascending) therefore reproduces the reference's tie order exactly.
-// The low 20 bits hold the node, so lengths must be distinguishable in
-// their top 44 bits and n must stay below 2^20 — both documented in
-// TieFree.
+// chains to the pushes that began them. A chain begins at the initial
+// pushes (time 0, node order) or at the batch that (re)started the
+// node (batch time, start order); a batch precedes every event at its
+// time, so the chain that began later pushed first, and equal origin
+// times keep their push order. Packing the inverted float bits of the
+// length (descending) over the node's origin rank (ascending; see
+// originRanks) therefore reproduces the reference's tie order exactly.
+// The low 20 bits hold the rank, so lengths must be distinguishable in
+// their top 44 bits and n plus the scenario's restart and wake
+// mutations must stay below 2^20 — both documented in TieFree.
 // The chain-walk window bounds the lookahead of a single park decision:
 // a longer silent chain is virtualized in checkpoint windows (the cap
 // branch schedules a real step mid-chain, which is always sound). The
@@ -34,8 +38,47 @@ const (
 	walkCapMax = 256
 )
 
-func stepKey(l float64, node int32) uint64 {
-	return ^math.Float64bits(l)&^uint64(0xFFFFF) | uint64(uint32(node))&0xFFFFF
+func stepKey(l float64, rank int32) uint64 {
+	return ^math.Float64bits(l)&^uint64(0xFFFFF) | uint64(uint32(rank))&0xFFFFF
+}
+
+// originRanks fills base[i] with the first origin rank of batch i's
+// starts and returns the first rank of the initial pushes and the
+// number of ranks used. Origins are ranked by time descending, then
+// push order ascending: the batches after time 0, latest first (equal
+// times in list order), then the initial pushes in node order, then the
+// batches at time 0 in list order. A batch's rank block has one rank
+// per restart or wake mutation, an upper bound on the nodes it starts.
+func originRanks(batches []scenario.Batch, n int, base []int32) (initBase int32, total int) {
+	starts := func(b scenario.Batch) int {
+		k := 0
+		for _, m := range b.Muts {
+			if m.Kind == graph.MutRestartNode || m.Kind == graph.MutWakeNode {
+				k++
+			}
+		}
+		return k
+	}
+	end := len(batches)
+	for end > 0 && batches[end-1].At > 0 {
+		// The group of batches sharing the latest remaining time.
+		start := end - 1
+		for start > 0 && batches[start-1].At == batches[end-1].At {
+			start--
+		}
+		for i := start; i < end; i++ {
+			base[i] = int32(total)
+			total += starts(batches[i])
+		}
+		end = start
+	}
+	initBase = int32(total)
+	total += n
+	for i := 0; i < end; i++ {
+		base[i] = int32(total)
+		total += starts(batches[i])
+	}
+	return initBase, total
 }
 
 // AsyncConfig parameterizes an asynchronous run.
@@ -68,7 +111,10 @@ type AsyncConfig struct {
 	// edge is dropped; crashed nodes stop stepping and restarted ones
 	// resume from a reboot. The reset policy must be concrete (the
 	// protocol layer resolves ResetAuto). A nil or empty scenario is the
-	// static run: the same event loop with every scenario hook off.
+	// static run: the same event loop with every scenario hook off. A
+	// scenario keeps the parking fast path on; one that mutates the
+	// topology turns off the pooled FIFO, whose slots a re-bind
+	// renumbers.
 	Scenario *scenario.Scenario
 	// Channel, when non-nil, subjects every transmission to an
 	// unreliable-link model: each per-neighbor copy is expanded through
@@ -199,9 +245,12 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 // addresses its deliveries by sender and resolves the port against the
 // topology current at arrival: a delivery whose edge is gone is
 // Severed, one whose edge was removed and re-added lands on the new
-// port. Each fast path stays on only where the run cannot tell: parking
-// needs a static run (a batch cannot interrupt a virtual chain), the
-// pooled FIFO needs fixed slots.
+// port. Each fast path stays on only where the run cannot tell. Parking
+// survives batches: a batch first replays every parked chain up to its
+// time, then mutates, then re-schedules those nodes from their pending
+// step, so a re-bind or reset is observed exactly when the reference
+// observes it. The pooled FIFO needs fixed slots, so a topological
+// scenario turns it off.
 //
 // scr may be nil (a private arena is allocated); reusing one across
 // runs makes steady-state execution allocation-free.
@@ -256,7 +305,8 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	as.lastStepAt = grow(as.lastStepAt, n, 0)
 	stepIndex, lastStepAt := as.stepIndex, as.lastStepAt
 	// epochs[v] invalidates node v's queued step event: a crash bumps
-	// it, and so does a delivery landing inside a parked chain.
+	// it, and so does a delivery or a batch landing inside a parked
+	// chain.
 	as.epochs = grow(as.epochs, n, 0)
 	epochs := as.epochs
 
@@ -286,6 +336,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 		batches = sc.Batches
 		stepsSince = make([]int, n)
+		as.seen = grow(as.seen, n, false)
 		topoAt, bySender = topologicalAt(batches)
 	}
 
@@ -316,19 +367,32 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	usePool := !reorders && vs == nil && !bySender
 
 	// Parking is sound only when no skipped step can tie exactly with a
-	// delivery (see TieFree) and no batch can land inside a virtual
-	// chain; observers must see every step materialized, and the step
-	// tie key reserves 20 bits for the node index, so larger networks
-	// run fully materialized. Channel models multiply and drop
-	// deliveries, which the silent-chain walk cannot anticipate, so
-	// channel runs also materialize every step.
-	canPark := sc == nil && cfg.Observer == nil && model == nil && n < 1<<20 && vs == nil
+	// delivery (see TieFree); observers must see every step
+	// materialized, and the step tie key reserves 20 bits for the origin
+	// rank, so runs with more chain origins run fully materialized.
+	// Channel models multiply and drop deliveries, which the
+	// silent-chain walk cannot anticipate, so channel runs also
+	// materialize every step.
+	initRank, ranks := int32(0), n
+	if sc != nil {
+		as.batchRank = grow(as.batchRank, len(batches), 0)
+		initRank, ranks = originRanks(batches, n, as.batchRank)
+	}
+	canPark := cfg.Observer == nil && model == nil && ranks < 1<<20 && vs == nil
 	if tf, ok := adv.(TieFree); !ok || !tf.TieFreeTimes() {
 		canPark = false
 	}
 	var parked []bool
 	var pendingReal []bool
+	var rank []int32
 	if canPark {
+		// rank[v] is the origin rank of node v's current step chain (see
+		// stepKey); a batch that (re)starts v assigns it a new one.
+		as.rank = grow(as.rank, n, 0)
+		rank = as.rank
+		for v := range rank {
+			rank[v] = initRank + int32(v)
+		}
 		as.parked = grow(as.parked, n, false)
 		as.virtTime = grow(as.virtTime, n, 0)
 		as.virtIndex = grow(as.virtIndex, n, 0)
@@ -344,6 +408,15 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		parked, pendingReal = as.parked, as.pendingReal
 	}
 	parkedCount := 0
+	// Post-perturbation settling window (the asynchronous analogue of
+	// the synchronous engines' two-stable-rounds rule): after a batch,
+	// termination additionally requires every awake node to have taken
+	// at least two steps, so a configuration that merely has not yet
+	// observed the perturbation is not mistaken for terminal. Unlike the
+	// synchronous window this is a heuristic — adversarial delays can
+	// outlast any fixed step budget — but it closes the common race.
+	// lagging counts the awake nodes still short of two steps.
+	lagging := 0
 	batcher, _ := adv.(StepBatcher)
 	// stepLen returns StepLength(v, t), batched per node when the
 	// adversary supports it: one hash-prefix derivation serves
@@ -416,7 +489,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	replay := func(v int, until float64, tieKey uint64) error {
 		vt, vi := as.virtTime[v], as.virtIndex[v]
 		lastL := as.virtLen[v] // length of the pending step at vt
-		if vt > until || (vt == until && stepKey(lastL, int32(v)) >= tieKey) {
+		if vt > until || (vt == until && stepKey(lastL, rank[v]) >= tieKey) {
 			return nil
 		}
 		steps := res.Steps
@@ -487,7 +560,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			lastL = l
 			cs = nx
 		}
-		if vt == until && stepKey(lastL, int32(v)) < tieKey {
+		if vt == until && stepKey(lastL, rank[v]) < tieKey {
 			// A virtual step lands exactly on the terminating event's
 			// time and precedes it in the reference's tie order:
 			// process that one step too (its successor is strictly
@@ -543,6 +616,15 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 		as.virtTime[v], as.virtIndex[v] = tt, ti
 		as.virtLen[v] = l0
+		if (lagging > 0 && stepsSince[v] < 2) || (byz != nil && byz[v] >= 0) {
+			// Virtual steps never count toward the settling window, so a
+			// node still short of its two post-batch steps takes them
+			// materialized; a Byzantine node does not run δ, so the walk
+			// cannot predict it.
+			lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
+			pendingReal[v] = true
+			return
+		}
 		cs := q
 		chainCap := int(as.walkCap[v])
 		for hop := 0; ; hop++ {
@@ -557,7 +639,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				// Real event (branching/transmitting row, or checkpoint
 				// on a long chain); replay reconstructs the virtual
 				// steps before it.
-				lq.push(qevent{time: tt, seq: stepKey(l0, int32(v)), node: int32(v), epoch: epochs[v], step: true})
+				lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
 				pendingReal[v] = true
 				if ti > as.virtIndex[v] {
 					// Steps were virtualized ahead of the event. The
@@ -581,7 +663,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			if l <= 0 {
 				// The reference engine errors when this step consumes
 				// the length; materialize it and let replay get there.
-				lq.push(qevent{time: tt, seq: stepKey(l0, int32(v)), node: int32(v), epoch: epochs[v], step: true})
+				lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
 				pendingReal[v] = true
 				if ti > as.virtIndex[v] {
 					parked[v] = true
@@ -611,15 +693,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		return nil
 	}
 
-	// Post-perturbation settling window (the asynchronous analogue of
-	// the synchronous engines' two-stable-rounds rule): after a batch,
-	// termination additionally requires every awake node to have taken
-	// at least two steps, so a configuration that merely has not yet
-	// observed the perturbation is not mistaken for terminal. Unlike the
-	// synchronous window this is a heuristic — adversarial delays can
-	// outlast any fixed step budget — but it closes the common race.
-	// lagging counts the awake nodes still short of two steps.
-	lagging := 0
 	resetNode := func(v int) {
 		states[v] = resetStateOf(p.m, cfg.Init, v)
 		rc.resetNode(v, cur)
@@ -630,9 +703,29 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			vs.resetSlots(cur.NbrOff[v], cur.NbrOff[v+1])
 		}
 	}
-	applyBatch := func(b scenario.Batch) error {
+	applyBatch := func(bi int) error {
+		b := batches[bi]
+		// Materialize every parked chain up to the batch: the batch
+		// precedes every event at or after its time, and a re-bind or
+		// reset can change what the chain observes. A parked node stays
+		// flagged through the mutations, marking it for re-scheduling
+		// below, unless the batch crashes it.
+		if parkedCount > 0 {
+			for w := 0; w < n; w++ {
+				if !parked[w] {
+					continue
+				}
+				if err := replay(w, b.At, 0); err != nil {
+					return err
+				}
+				if pendingReal[w] {
+					epochs[w]++
+					pendingReal[w] = false
+				}
+			}
+		}
 		topo := false
-		var started []int
+		started := as.started[:0]
 		for _, m := range b.Muts {
 			st, err := live.Apply(m)
 			if err != nil {
@@ -641,12 +734,33 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			started = append(started, st...)
 			if m.Kind == graph.MutCrashNode {
 				epochs[m.U]++ // invalidate the pending step event
+				if canPark {
+					if parked[m.U] {
+						parked[m.U] = false
+						parkedCount--
+					}
+					pendingReal[m.U] = false
+				}
 			}
 			if err := m.Apply(g); err != nil {
 				return err
 			}
 			topo = topo || m.Topological()
 		}
+		// A node may start more than once in a batch (restart, crash,
+		// restart): it reboots once and gets one step stream.
+		uniq := started[:0]
+		for _, v := range started {
+			if !as.seen[v] {
+				as.seen[v] = true
+				uniq = append(uniq, v)
+			}
+		}
+		for _, v := range uniq {
+			as.seen[v] = false
+		}
+		started = uniq
+		as.started = started
 		if topo {
 			next := g.CSR()
 			remap := graph.RemapPorts(cur, next)
@@ -677,8 +791,27 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			stepsSince[v] = 0
 		}
 		lagging = live.NumAwake()
-		// Rebooted nodes resume stepping from the batch time.
+		// The materialized chains resume from their pending steps.
+		if parkedCount > 0 {
+			for w := 0; w < n; w++ {
+				if parked[w] {
+					parked[w] = false
+					parkedCount--
+					schedule(w, states[w], as.virtIndex[w], as.virtTime[w], as.virtLen[w])
+				}
+			}
+		}
+		// Rebooted nodes still awake resume stepping from the batch
+		// time, each on a new chain origin.
+		k := int32(0)
 		for _, v := range started {
+			if !live.Awake(v) {
+				continue // crashed again later in the batch
+			}
+			if canPark {
+				rank[v] = as.batchRank[bi] + k
+				k++
+			}
 			if err := scheduleNext(v, states[v], b.At); err != nil {
 				return err
 			}
@@ -725,7 +858,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			// A due batch precedes every event scheduled at or after it.
 			if at, ok := lq.peekTime(); !ok || at >= batches[nextBatch].At {
 				b := batches[nextBatch]
-				if err := applyBatch(b); err != nil {
+				if err := applyBatch(nextBatch); err != nil {
 					return nil, err
 				}
 				nextBatch++

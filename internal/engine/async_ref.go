@@ -271,7 +271,15 @@ func RunAsyncRef(m nfsm.Machine, g0 *graph.Graph, cfg AsyncConfig) (*AsyncResult
 			stepsSince[v] = 0
 		}
 		lagging = live.NumAwake()
+		// One step stream per node started in this batch and awake at
+		// its end, in first-start order: a restart, crash, restart
+		// sequence starts the node once, a restart then crash not at all.
+		scheduled := make(map[int]bool, len(started))
 		for _, v := range started {
+			if scheduled[v] || !live.Awake(v) {
+				continue
+			}
+			scheduled[v] = true
 			if err := scheduleStep(v, b.At); err != nil {
 				return err
 			}

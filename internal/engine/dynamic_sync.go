@@ -162,6 +162,10 @@ func (e *flatKernel) applyBatches(round int, res *SyncResult) error {
 				reboot = append(reboot, v)
 			}
 		}
+		// A node started twice in the batch (restart, crash, restart)
+		// appears twice in reboot, and one started then crashed appears
+		// too: the reset is idempotent, and the round loop steps only
+		// nodes awake at the round, so neither needs deduping here.
 		for _, v := range reboot {
 			e.states[v] = resetStateOf(p.m, d.init, v)
 			rc.resetNode(v, e.csr)

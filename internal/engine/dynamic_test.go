@@ -20,6 +20,7 @@ import (
 	"stoneage/internal/mis"
 	"stoneage/internal/nfsm"
 	"stoneage/internal/scenario"
+	"stoneage/internal/synchro"
 	"stoneage/internal/xrand"
 )
 
@@ -146,46 +147,211 @@ func TestDifferentialDynamicAsync(t *testing.T) {
 				}
 				advName := advNames[(gi+di)%len(advNames)]
 				name := fmt.Sprintf("%T/g%d/%s-%s/%s", m, gi, def.Name(), def.Reset, advName)
-				mkCfg := func() engine.AsyncConfig {
-					return engine.AsyncConfig{
-						Seed:      seed,
-						Adversary: engine.NamedAdversaries(seed + 3)[advName],
-						MaxSteps:  1 << 16,
-						Scenario:  sc,
+				diffDynamicAsync(t, name, m, g0, dynCfg(seed, advName, sc, 1<<16))
+			}
+		}
+	}
+}
+
+// TestDifferentialDynamicAsyncAlpha runs the α-synchronized MIS machine,
+// whose silent pause chains the fast executor parks, through every
+// scenario def under the TieFree adversaries, so parking meets every
+// batch kind. Skew and overwriter give nodes constant step lengths,
+// whose steps tie at exact times; the hand-written scenario makes
+// chains of equal length begin at the initial pushes, at batches at
+// time 0, at two batches sharing a time, and at a restart that follows
+// a crash in the same batch. A variant adds Byzantine nodes, which
+// never park.
+func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
+	m, err := synchro.CompileRound(mis.Protocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutCrashNode, U: v} }
+	restart := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutRestartNode, U: v} }
+	wake := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutWakeNode, U: v} }
+	ties := &scenario.Scenario{Name: "ties", Reset: scenario.ResetTouched, Asleep: []int{3, 5, 7, 9}, Batches: []scenario.Batch{
+		{At: 0, Muts: []graph.Mutation{wake(3)}},
+		{At: 0, Muts: []graph.Mutation{wake(5)}},
+		{At: 2, Muts: []graph.Mutation{wake(7), crash(1)}},
+		{At: 2, Muts: []graph.Mutation{wake(9), crash(11)}},
+		{At: 4, Muts: []graph.Mutation{restart(1), restart(11), {Kind: graph.MutAddEdge, U: 0, V: 6}}},
+		{At: 4, Muts: []graph.Mutation{crash(1), restart(1)}},
+	}}
+	// Byzantine nodes without a channel model: they never park (they
+	// do not run δ), while their honest neighbors do.
+	byz := *ties
+	byz.Name = "ties-byzantine"
+	byz.Byzantine = []channel.ByzNode{channel.RandomBabbler(2, 5), channel.Silent(13)}
+	for _, advName := range []string{"uniform", "skew", "overwriter"} {
+		for gi, g0 := range dynGraphs()[:3] {
+			for di, def := range dynDefs() {
+				seed := uint64(7 + di)
+				sc, err := def.Generate(g0, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("alpha/g%d/%s-%s/%s", gi, def.Name(), def.Reset, advName)
+				diffDynamicAsync(t, name, m, g0, dynCfg(seed, advName, sc, 1<<16))
+			}
+		}
+		// Which of two tied steps comes first shows only where the run
+		// ends, so the tie cases run to convergence: flood within a few
+		// rounds, the α machine under a budget its fast nodes' pause
+		// spins fit in.
+		for seed := uint64(1); seed <= 4; seed++ {
+			for mi, tm := range []nfsm.Machine{m, flood()} {
+				diffDynamicAsync(t, fmt.Sprintf("ties/m%d/%s/seed%d", mi, advName, seed), tm, graph.Cycle(16), dynCfg(seed, advName, ties, 1<<20))
+			}
+			diffDynamicAsync(t, fmt.Sprintf("byzantine/%s/seed%d", advName, seed), m, graph.Cycle(16), dynCfg(seed, advName, &byz, 1<<16))
+			// A Byzantine babbler whose frozen state is flood's idle
+			// self-loop: parked, it would never babble.
+			cfg := dynCfg(seed, advName, &byz, 1<<16)
+			cfg.Init = make([]nfsm.State, 16) // idle
+			cfg.Init[0] = 1                   // hot
+			diffDynamicAsync(t, fmt.Sprintf("byzantine-idle/%s/seed%d", advName, seed), flood(), graph.Cycle(16), cfg)
+		}
+	}
+}
+
+// dynCfg is the differential suites' asynchronous configuration.
+func dynCfg(seed uint64, advName string, sc *scenario.Scenario, maxSteps int64) engine.AsyncConfig {
+	return engine.AsyncConfig{
+		Seed:      seed,
+		Adversary: engine.NamedAdversaries(seed + 3)[advName],
+		MaxSteps:  maxSteps,
+		Scenario:  sc,
+	}
+}
+
+// diffDynamicAsync runs machine m on g0 in both asynchronous engines
+// and fails unless they agree bit for bit.
+func diffDynamicAsync(t *testing.T, name string, m nfsm.Machine, g0 *graph.Graph, cfg engine.AsyncConfig) {
+	t.Helper()
+	ref, refErr := engine.RunAsyncRef(m, g0, cfg)
+	got, gotErr := engine.RunAsync(m, g0, cfg)
+	if refErr != nil || gotErr != nil {
+		if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: error mismatch:\nreference: %v\ncompiled:  %v", name, refErr, gotErr)
+		}
+		return
+	}
+	if got.Time != ref.Time || got.TimeUnits != ref.TimeUnits ||
+		got.RecoveryTime != ref.RecoveryTime || got.RecoveryTimeUnits != ref.RecoveryTimeUnits {
+		t.Fatalf("%s: (time, units, rec, recUnits) = (%v, %v, %v, %v), reference (%v, %v, %v, %v)",
+			name, got.Time, got.TimeUnits, got.RecoveryTime, got.RecoveryTimeUnits,
+			ref.Time, ref.TimeUnits, ref.RecoveryTime, ref.RecoveryTimeUnits)
+	}
+	if got.Steps != ref.Steps || got.Transmissions != ref.Transmissions || got.Lost != ref.Lost {
+		t.Fatalf("%s: (steps, tx, lost) = (%d, %d, %d), reference (%d, %d, %d)",
+			name, got.Steps, got.Transmissions, got.Lost, ref.Steps, ref.Transmissions, ref.Lost)
+	}
+	if len(got.PerturbedAt) != len(ref.PerturbedAt) {
+		t.Fatalf("%s: %d perturbations, reference %d", name, len(got.PerturbedAt), len(ref.PerturbedAt))
+	}
+	for i := range got.PerturbedAt {
+		if got.PerturbedAt[i] != ref.PerturbedAt[i] {
+			t.Fatalf("%s: perturbation %d at %v, reference %v",
+				name, i, got.PerturbedAt[i], ref.PerturbedAt[i])
+		}
+	}
+	if !sameStates(got.States, ref.States) {
+		t.Fatalf("%s: final states diverge", name)
+	}
+	if !sameGraph(got.FinalGraph, ref.FinalGraph) {
+		t.Fatalf("%s: final graphs diverge", name)
+	}
+}
+
+// TestAsyncBatchStartsOnce pins a batch that starts a node more than
+// once, or starts it and then crashes it. Each (re)start must leave the
+// node with exactly one step stream, and only when it is awake at the
+// end of the batch. An Observer records every step of both engines.
+// Per node, step indices rise strictly, step t lands exactly
+// StepLength(v, t) after the node's previous step (or after the batch
+// that started it), and no step is taken while the node is crashed or
+// asleep.
+func TestAsyncBatchStartsOnce(t *testing.T) {
+	crash := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutCrashNode, U: v} }
+	restart := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutRestartNode, U: v} }
+	wake := func(v int) graph.Mutation { return graph.Mutation{Kind: graph.MutWakeNode, U: v} }
+	for _, sc := range []*scenario.Scenario{
+		{Name: "restart-crash-restart", Reset: scenario.ResetNone, Batches: []scenario.Batch{
+			{At: 2, Muts: []graph.Mutation{crash(2)}},
+			{At: 4, Muts: []graph.Mutation{restart(2), crash(2), restart(2)}},
+		}},
+		{Name: "restart-crash", Reset: scenario.ResetNone, Batches: []scenario.Batch{
+			{At: 2, Muts: []graph.Mutation{crash(2)}},
+			{At: 4, Muts: []graph.Mutation{restart(2), crash(2)}},
+		}},
+		{Name: "wake-crash-restart", Reset: scenario.ResetNone, Asleep: []int{4}, Batches: []scenario.Batch{
+			{At: 3, Muts: []graph.Mutation{wake(4), crash(4), restart(4)}},
+		}},
+	} {
+		g := graph.Cycle(6)
+		n := g.N()
+		// awakeAt replays the liveness schedule: a batch applies before
+		// every event at or after its time.
+		awakeAt := func(v int, at float64) bool {
+			live := scenario.NewLiveness(n, sc.Asleep)
+			for _, b := range sc.Batches {
+				if b.At > at {
+					break
+				}
+				for _, m := range b.Muts {
+					if _, err := live.Apply(m); err != nil {
+						t.Fatal(err)
 					}
 				}
-				ref, refErr := engine.RunAsyncRef(m, g0, mkCfg())
-				got, gotErr := engine.RunAsync(m, g0, mkCfg())
-				if refErr != nil || gotErr != nil {
-					if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error mismatch:\nreference: %v\ncompiled:  %v", name, refErr, gotErr)
-					}
-					continue
-				}
-				if got.Time != ref.Time || got.TimeUnits != ref.TimeUnits ||
-					got.RecoveryTime != ref.RecoveryTime || got.RecoveryTimeUnits != ref.RecoveryTimeUnits {
-					t.Fatalf("%s: (time, units, rec, recUnits) = (%v, %v, %v, %v), reference (%v, %v, %v, %v)",
-						name, got.Time, got.TimeUnits, got.RecoveryTime, got.RecoveryTimeUnits,
-						ref.Time, ref.TimeUnits, ref.RecoveryTime, ref.RecoveryTimeUnits)
-				}
-				if got.Steps != ref.Steps || got.Transmissions != ref.Transmissions || got.Lost != ref.Lost {
-					t.Fatalf("%s: (steps, tx, lost) = (%d, %d, %d), reference (%d, %d, %d)",
-						name, got.Steps, got.Transmissions, got.Lost, ref.Steps, ref.Transmissions, ref.Lost)
-				}
-				if len(got.PerturbedAt) != len(ref.PerturbedAt) {
-					t.Fatalf("%s: %d perturbations, reference %d", name, len(got.PerturbedAt), len(ref.PerturbedAt))
-				}
-				for i := range got.PerturbedAt {
-					if got.PerturbedAt[i] != ref.PerturbedAt[i] {
-						t.Fatalf("%s: perturbation %d at %v, reference %v",
-							name, i, got.PerturbedAt[i], ref.PerturbedAt[i])
+			}
+			return live.Awake(v)
+		}
+		// startAt is the latest batch at or before `at` that (re)starts v.
+		startAt := func(v int, at float64) float64 {
+			s := 0.0
+			for _, b := range sc.Batches {
+				for _, m := range b.Muts {
+					if b.At <= at && m.U == v && (m.Kind == graph.MutRestartNode || m.Kind == graph.MutWakeNode) {
+						s = b.At
 					}
 				}
-				if !sameStates(got.States, ref.States) {
-					t.Fatalf("%s: final states diverge", name)
+			}
+			return s
+		}
+		for _, advName := range []string{"sync", "uniform"} {
+			for engName, run := range map[string]func(nfsm.Machine, *graph.Graph, engine.AsyncConfig) (*engine.AsyncResult, error){
+				"RunAsync":    engine.RunAsync,
+				"RunAsyncRef": engine.RunAsyncRef,
+			} {
+				name := fmt.Sprintf("%s/%s/%s", sc.Name, advName, engName)
+				adv := engine.NamedAdversaries(5)[advName]
+				lastIdx := make([]int, n)
+				lastAt := make([]float64, n)
+				var bad string
+				obs := func(at float64, v, step int, _ nfsm.State) {
+					if bad != "" {
+						return
+					}
+					prev := lastAt[v]
+					if s := startAt(v, at); s > prev {
+						prev = s
+					}
+					switch {
+					case !awakeAt(v, at):
+						bad = fmt.Sprintf("node %d took step %d at %v while not awake", v, step, at)
+					case step <= lastIdx[v]:
+						bad = fmt.Sprintf("node %d took step %d at %v after step %d", v, step, at, lastIdx[v])
+					case at != prev+adv.StepLength(v, step):
+						bad = fmt.Sprintf("node %d took step %d at %v, want %v", v, step, at, prev+adv.StepLength(v, step))
+					}
+					lastIdx[v], lastAt[v] = step, at
 				}
-				if !sameGraph(got.FinalGraph, ref.FinalGraph) {
-					t.Fatalf("%s: final graphs diverge", name)
+				cfg := engine.AsyncConfig{Seed: 3, Adversary: adv, MaxSteps: 1 << 10, Scenario: sc, Observer: obs}
+				if _, err := run(mis.Protocol(), g, cfg); err != nil && !errors.Is(err, engine.ErrNoConvergence) {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if bad != "" {
+					t.Errorf("%s: %s", name, bad)
 				}
 			}
 		}

@@ -49,18 +49,28 @@ type asyncScratch struct {
 	lastDelivery []float64
 	stepIndex    []int
 	lastStepAt   []float64
-	// epochs is the per-node step-event epoch: a crash or a delivery
-	// into a parked chain bumps it, invalidating the queued step.
+	// epochs is the per-node step-event epoch: a crash, or a delivery
+	// or batch inside a parked chain, bumps it, invalidating the queued
+	// step.
 	epochs []uint32
 
-	// Parking state (static runs only): parked nodes' pending virtual
-	// step and whether a chain-end event is in the queue.
+	// Parking state: parked nodes' pending virtual step and whether a
+	// chain-end event is in the queue.
 	parked      []bool
 	virtTime    []float64
 	virtIndex   []int
 	virtLen     []float64
 	pendingReal []bool
 	stepBuf     [256]float64
+
+	// Step tie-key origin ranks (see stepKey): each node's current
+	// chain origin, and the first rank of each scenario batch's starts.
+	rank      []int32
+	batchRank []int32
+	// started collects the nodes a scenario batch (re)starts; seen
+	// marks them while it is deduplicated (all false between batches).
+	started []int
+	seen    []bool
 
 	// Per-node step-length batch cache (StepBatcher adversaries): node
 	// v's lengths for steps stepFrom[v]..stepFrom[v]+stepLenBatch-1.

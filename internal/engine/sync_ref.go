@@ -157,6 +157,8 @@ func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, e
 				resetNode(v)
 			}
 		}
+		// Repeated or later-crashed entries of started are harmless: the
+		// reset is idempotent, and only awake nodes step each round.
 		for _, v := range started {
 			resetNode(v)
 		}
