@@ -27,7 +27,9 @@ test:
 # against corruption and Byzantine silence, where the αβ hybrid fails.
 # The engine test line includes the bit-plane memory guard
 # (TestPackedFootprint: packed run state stays under its bytes-per-node
-# budget); the streamed million-node run is stonebench's sync-large
+# budget) and the dynamic-memo guard (TestDynMemoFootprint: the
+# per-state record table stays under its bytes-per-state budget); the
+# streamed million-node run is stonebench's sync-large
 # workload, which `make bench` runs. The benchmark line runs each of the
 # root package's microbenchmarks once, so a broken one fails the gate
 # instead of rotting; it measures nothing. The fuzz lines are time-boxed
@@ -51,7 +53,7 @@ check: build
 	go vet ./...
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
-	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint' -count=1
+	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint|TestDynMemoFootprint' -count=1
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s

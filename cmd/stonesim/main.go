@@ -19,6 +19,7 @@
 //	stonesim -protocol degcolor -param maxdeg=6 -graph torus -n 64
 //	stonesim -protocol lba-abc -word aabbcc
 //	stonesim -protocol mis -in graph.txt
+//	stonesim -protocol mis -n 128 -engine async -synchro voted -trials 20 -cpuprofile cpu.prof
 //	stonesim protocols -json
 //	stonesim sweep -spec examples/specs/mis-families.json -workers 8
 //
@@ -54,6 +55,9 @@
 // reports the per-pathology event counts. Byzantine nodes babble on
 // their own; their outputs are excluded from validation.
 //
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles
+// of a run (read them with `go tool pprof`); unset, they cost nothing.
+//
 // The sweep subcommand runs a declarative multi-trial campaign
 // (internal/campaign) in parallel and emits aggregate tables, JSON and
 // CSV; see examples/specs for spec files (the `scenarios` field sweeps
@@ -79,6 +83,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -124,6 +130,8 @@ type options struct {
 	scenario   string
 	channel    string
 	backend    string
+	cpuProfile string
+	memProfile string
 }
 
 // parseParams turns the -param flag ("name=value[,name=value]") into
@@ -147,7 +155,7 @@ func parseParams(s string) (protocol.Args, error) {
 	return args, nil
 }
 
-func run(args []string, w io.Writer) error {
+func run(args []string, w io.Writer) (err error) {
 	if len(args) > 0 {
 		switch args[0] {
 		case "sweep":
@@ -185,9 +193,20 @@ func run(args []string, w io.Writer) error {
 		`dynamic-network scenario as JSON, e.g. '{"kind":"churn","rate":2}' (kinds: none, crash, churn, wake; engine-hosted protocols only)`)
 	fs.StringVar(&opt.channel, "channel", "",
 		`unreliable-channel model as JSON, e.g. '{"drop":0.2,"byz":[{"behavior":"babble","frac":0.05}]}' (engine-hosted protocols only)`)
+	fs.StringVar(&opt.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof; go tool pprof reads it)")
+	fs.StringVar(&opt.memProfile, "memprofile", "", "write a heap profile to this file when the run ends (runtime/pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := startProfiles(opt)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
 
 	if strings.HasPrefix(opt.protocol, "lba-") {
 		return runLBA(opt, w)
@@ -203,6 +222,43 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "graph: %s  n=%d m=%d Δ=%d\n", describeGraph(opt), g.N(), g.M(), g.MaxDegree())
 	return runProtocol(opt, d, g, w)
+}
+
+// startProfiles starts the CPU profile -cpuprofile asks for and returns
+// the function that ends it and writes the -memprofile heap profile.
+// With neither flag set it does nothing.
+func startProfiles(opt options) (stop func() error, err error) {
+	var cpu *os.File
+	if opt.cpuProfile != "" {
+		if cpu, err = os.Create(opt.cpuProfile); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile: %w", err)
+			}
+		}
+		if opt.memProfile == "" {
+			return nil
+		}
+		f, err := os.Create(opt.memProfile)
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		runtime.GC() // the profile then shows what the run left live
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }
 
 // runProtocol is the single registry-driven execution pipeline: bind

@@ -51,6 +51,36 @@ func TestMISAsyncOverwriter(t *testing.T) {
 	}
 }
 
+// TestProfileFlags is the -cpuprofile/-memprofile smoke test: both
+// files are written as gzip'd pprof protobufs, the run's output is the
+// same as without them, and an unwritable path fails the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	args := []string{"-protocol", "mis", "-graph", "gnp", "-n", "32", "-engine", "async", "-synchro", "voted"}
+	plain := runCLI(t, args...)
+	profiled := runCLI(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if profiled != plain {
+		t.Fatalf("profiled run printed %q, plain run %q", profiled, plain)
+	}
+	for _, f := range []string{cpu, mem} {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s is not a gzip'd profile (%d bytes)", filepath.Base(f), len(b))
+		}
+	}
+	bad := filepath.Join(dir, "missing", "cpu.prof")
+	if msg := runCLIErr(t, append(args, "-cpuprofile", bad)...); !strings.Contains(msg, "-cpuprofile") {
+		t.Fatalf("error %q does not name the flag", msg)
+	}
+	if msg := runCLIErr(t, append(args, "-memprofile", bad)...); !strings.Contains(msg, "-memprofile") {
+		t.Fatalf("error %q does not name the flag", msg)
+	}
+}
+
 func TestColorSync(t *testing.T) {
 	out := runCLI(t, "-protocol", "color3", "-graph", "tree", "-n", "40")
 	if !strings.Contains(out, "valid 3-coloring") {

@@ -25,6 +25,9 @@ func TestHelperWorker(t *testing.T) {
 		WorkDir: os.Getenv("WORKER_DIR"),
 		Connect: os.Getenv("WORKER_SOCK"),
 	}
+	if d, err := time.ParseDuration(os.Getenv("WORKER_START_DELAY")); err == nil {
+		time.Sleep(d)
+	}
 	if os.Getenv("WORKER_SLOW") == "1" {
 		// The doomed worker telegraphs the instant a cell is in flight
 		// (claimed, unfinished) and then stalls in it, giving the driver
@@ -32,6 +35,18 @@ func TestHelperWorker(t *testing.T) {
 		opts.BeforeCell = func(key string) {
 			os.WriteFile(filepath.Join(opts.WorkDir, "beacon-"+opts.ID), []byte(key+"\n"), 0o644)
 			time.Sleep(10 * time.Second)
+		}
+	} else {
+		// The others hold their first cell until the doomed worker has
+		// one in flight (bounded), so they cannot drain the sweep before
+		// it claims a cell however late it starts.
+		opts.BeforeCell = func(string) {
+			beacon := filepath.Join(opts.WorkDir, "beacon-w0")
+			for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+				if _, err := os.Stat(beacon); err == nil {
+					return
+				}
+			}
 		}
 	}
 	if _, err := Work(context.Background(), opts); err != nil {
@@ -63,7 +78,8 @@ func TestWorkerKillRetry(t *testing.T) {
 			"WORKER_SOCK="+o.Connect,
 		)
 		if o.ID == "w0" {
-			cmd.Env = append(cmd.Env, "WORKER_SLOW=1")
+			// The victim starts late, as on a loaded host.
+			cmd.Env = append(cmd.Env, "WORKER_SLOW=1", "WORKER_START_DELAY=3s")
 		}
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

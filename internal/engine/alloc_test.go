@@ -117,13 +117,13 @@ func TestScratchBindInvalidatesIdleWorkers(t *testing.T) {
 	scr := NewScratch()
 	scr.dss = make([]dynScratch, 3)
 	for i := range scr.dss {
-		scr.dss[i].out = []int8{1}
+		scr.dss[i].recs = []uint64{hdrSet | hdrOut}
 	}
 	scr.dss = scr.dss[:1]
 	scr.bind(CompileMachine(allocProtocol()))
 	for i, ds := range scr.dss[:3] {
-		if len(ds.out) != 0 {
-			t.Fatalf("worker %d keeps the previous machine's output memo after bind", i)
+		if len(ds.recs) != 0 {
+			t.Fatalf("worker %d keeps the previous machine's record table after bind", i)
 		}
 	}
 }

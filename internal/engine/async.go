@@ -291,7 +291,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	rc := &scr.rc
 	rc.reset(p, cur)
 	ds := &scr.ds
-	ds.init(p.MachineCode)
 	as := scr.async()
 
 	// portWriteAt[k] is the time of the last write to the port at CSR
@@ -496,9 +495,9 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		mp := maxParam
 		last := lastStepAt[v]
 		cs := states[v]
-		for vt < until {
+		for vt < until || (vt == until && stepKey(lastL, rank[v]) < tieKey) {
 			nx, kind := rc.silentNext(v, cs, ds)
-			if kind == rowSilentSelf {
+			if kind == rowSilentSelf && vt < until {
 				// Self-loop: spin to the horizon in one tight loop.
 				buf := as.stepBuf[:]
 				bi, bn := 0, 0
@@ -530,9 +529,12 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 					vi++
 					lastL = l
 				}
-				break
+				continue
 			}
-			// Chain hop: one deterministic silent step.
+			// One deterministic silent step: a chain hop, or the virtual
+			// step landing exactly on the terminating event's time that
+			// precedes it in the reference's tie order (its successor is
+			// strictly later, so there is one).
 			last = vt
 			steps++
 			if steps >= maxSteps {
@@ -540,39 +542,13 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
 			}
 			var l float64
-			if batcher != nil {
-				if idx := vi + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
-					l = as.stepLens[v*stepLenBatch+idx]
-				} else {
-					l = stepLen(v, vi+1)
-				}
-			} else {
+			if batcher == nil {
 				l = adv.StepLength(v, vi+1)
+			} else if idx := vi + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
+				l = as.stepLens[v*stepLenBatch+idx]
+			} else {
+				l = stepLen(v, vi+1)
 			}
-			if l <= 0 {
-				return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
-			}
-			if l > mp {
-				mp = l
-			}
-			vt += l
-			vi++
-			lastL = l
-			cs = nx
-		}
-		if vt == until && stepKey(lastL, rank[v]) < tieKey {
-			// A virtual step lands exactly on the terminating event's
-			// time and precedes it in the reference's tie order:
-			// process that one step too (its successor is strictly
-			// later, so exactly one).
-			nx, kind := rc.silentNext(v, cs, ds)
-			last = vt
-			steps++
-			if steps >= maxSteps {
-				res.Steps = steps
-				return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
-			}
-			l := stepLen(v, vi+1)
 			if l <= 0 {
 				return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
 			}
@@ -635,37 +611,28 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				parkedCount++
 				return
 			}
-			if kind != rowSilentHop || hop >= chainCap {
-				// Real event (branching/transmitting row, or checkpoint
-				// on a long chain); replay reconstructs the virtual
-				// steps before it.
+			l := 0.0
+			if kind == rowSilentHop && hop < chainCap {
+				if batcher == nil {
+					l = adv.StepLength(v, ti+1)
+				} else if idx := ti + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
+					l = as.stepLens[v*stepLenBatch+idx]
+				} else {
+					l = stepLen(v, ti+1)
+				}
+			}
+			if l <= 0 {
+				// Real event: a branching, transmitting or output-flipping
+				// row, a checkpoint on a long chain, or a non-positive
+				// length, on which the reference errors when the step
+				// consumes it. Replay reconstructs the virtual steps
+				// before it.
 				lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
 				pendingReal[v] = true
 				if ti > as.virtIndex[v] {
 					// Steps were virtualized ahead of the event. The
 					// state alone cannot tell (a silent cycle returns
 					// to its start state), so compare the step index.
-					parked[v] = true
-					parkedCount++
-				}
-				return
-			}
-			var l float64
-			if batcher != nil {
-				if idx := ti + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
-					l = as.stepLens[v*stepLenBatch+idx]
-				} else {
-					l = stepLen(v, ti+1)
-				}
-			} else {
-				l = adv.StepLength(v, ti+1)
-			}
-			if l <= 0 {
-				// The reference engine errors when this step consumes
-				// the length; materialize it and let replay get there.
-				lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
-				pendingReal[v] = true
-				if ti > as.virtIndex[v] {
 					parked[v] = true
 					parkedCount++
 				}
@@ -971,25 +938,14 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			// counts and its traffic rides the channel like any other.
 			mv = nfsm.Move{Next: q, Emit: sc.Byzantine[byz[v]].Emit(t, p.nl)}
 		} else {
-			moves := rc.movesFor(v, q, ds)
-			if len(moves) == 0 {
+			var dout, size int
+			mv, dout, size = rc.pick(v, q, ds, cfg.Seed, t)
+			if size == 0 {
 				return nil, fmt.Errorf("engine: δ empty at node %d state %d step %d", v, q, t)
 			}
-			if single = len(moves) == 1; single {
-				mv = moves[0]
-			} else {
-				mv = nfsm.PickMove(cfg.Seed, v, t, moves)
-			}
-			if mv.Next != q {
-				if p.isOutputDS(mv.Next, ds) != p.isOutputDS(q, ds) {
-					if p.isOutputDS(mv.Next, ds) {
-						outputs++
-					} else {
-						outputs--
-					}
-				}
-				states[v] = mv.Next
-			}
+			single = size == 1
+			outputs += dout
+			states[v] = mv.Next
 		}
 		stepIndex[v] = t
 		lastStepAt[v] = e.time
@@ -1013,7 +969,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			K, isRP := 1, false
 			if vs != nil && !isByz {
 				K = int(vs.k)
-				if isRP = vs.isRePulse != nil && vs.isRePulse(q); isRP {
+				if isRP = vs.isRePulse != nil && p.rePulse(q, ds, vs.isRePulse); isRP {
 					vs.rePulses++
 				}
 			}

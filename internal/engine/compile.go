@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 
 	"stoneage/internal/graph"
@@ -109,8 +110,8 @@ func CompileMachine(m nfsm.Machine) *MachineCode {
 	case *nfsm.Protocol:
 		c.lowerProtocol(mm)
 		// A malformed protocol stays dynamic, where the single-query
-		// path uses the lock-free queryOf memo — shard only when the
-		// lowering actually succeeded.
+		// path writes the per-worker record table unsharded — shard only
+		// when the lowering actually succeeded.
 		c.parallel = c.kind != progDynamic
 	case *nfsm.RoundProtocol:
 		c.lowerRound(mm)
@@ -276,9 +277,6 @@ type runCounts struct {
 	raw []int32
 	// idx[v] = Σ_l f_b(raw[v][l])·pow[l] (progFlatMulti only).
 	idx []int32
-	// dynQuery memoizes λ(q) for dynamic single-query machines whose
-	// QueryLetter takes a lock (the synchro compilers); -2 marks unknown.
-	dynQuery []nfsm.Letter
 	// idxBuf backs idx across resets (idx itself is nil for non-flat
 	// kinds, so the capacity is kept separately).
 	idxBuf []int32
@@ -288,50 +286,19 @@ type runCounts struct {
 // any backing storage a previous run left behind — the heart of the
 // Scratch zero-allocation reuse path. The dynamic execution path starts
 // from the bound snapshot but rebinds to fresh snapshots as the
-// scenario mutates the topology. The dynQuery memo survives resets; it
-// is machine- not run-keyed (Scratch.bind clears it when the machine
-// changes).
+// scenario mutates the topology.
 func (rc *runCounts) reset(p *Program, csr *graph.CSR) {
 	rc.p = p
 	n := csr.N()
-	ne := len(csr.NbrDat)
-	if cap(rc.portDat) < ne {
-		rc.portDat = make([]nfsm.Letter, ne)
-	}
-	rc.portDat = rc.portDat[:ne]
-	if cap(rc.raw) < n*p.nl {
-		rc.raw = make([]int32, n*p.nl)
-	}
-	rc.raw = rc.raw[:n*p.nl]
-	for i := range rc.raw {
-		rc.raw[i] = 0
-	}
+	rc.portDat = grow(rc.portDat, len(csr.NbrDat), p.initial)
+	rc.raw = grow(rc.raw, n*p.nl, 0)
 	rc.idx = nil
 	if p.kind == progFlatMulti {
-		if cap(rc.idxBuf) < n {
-			rc.idxBuf = make([]int32, n)
-		}
-		rc.idx = rc.idxBuf[:n]
-	}
-	for k := range rc.portDat {
-		rc.portDat[k] = p.initial
+		rc.idxBuf = grow(rc.idxBuf, n, 0)
+		rc.idx = rc.idxBuf
 	}
 	for v := 0; v < n; v++ {
-		deg := int32(csr.Degree(v))
-		if deg == 0 {
-			if rc.idx != nil {
-				rc.idx[v] = 0
-			}
-			continue
-		}
-		rc.raw[v*p.nl+int(p.initial)] = deg
-		if rc.idx != nil {
-			c := deg
-			if c > int32(p.b) {
-				c = int32(p.b)
-			}
-			rc.idx[v] = c * p.pow[p.initial]
-		}
+		rc.resetNode(v, csr)
 	}
 }
 
@@ -447,21 +414,30 @@ func (rc *runCounts) evictPort(v int, k int32) {
 }
 
 // dynScratch is the per-worker dynamic-fallback scratch: the count
-// vector handed to Machine.Moves, plus δ-row and Q_O-membership memos
-// that keep the steady state out of the machine's own code (the synchro
-// compilers guard their lazily interned state sets with a mutex that
-// would otherwise be taken several times per node step). The memos are
-// machine-keyed, not run-keyed: Machine.Moves is a pure function of
-// (state, counts) by interface contract and interned state identities
-// are stable, so rows survive across runs of the same MachineCode
-// (Scratch.bind invalidates on machine change). Each worker owns its
-// own dynScratch — the memos are written without synchronization.
+// vector handed to Machine.Moves, plus the memos that keep the steady
+// state out of the machine's own code (the synchro compilers guard their
+// lazily interned state sets with a mutex that would otherwise be taken
+// several times per node step). The memos are machine-keyed, not
+// run-keyed: Machine.Moves is a pure function of (state, counts) by
+// interface contract and interned state identities are stable, so they
+// survive across runs of the same MachineCode (Scratch.bind invalidates
+// on machine change). Each worker owns its own dynScratch — the memos
+// are written without synchronization.
 type dynScratch struct {
 	cbuf []nfsm.Count
-	// srows memoizes single-query dynamic δ rows at q*(b+1)+c; srkind
-	// classifies the same rows for the chain walker (see rowKind).
-	srows  [][]nfsm.Move
-	srkind []int8
+	// recs is the per-state record table: state q's block is the stride
+	// words at q·stride, a header (see hdrSet) and, on single-query
+	// machines, one packed row word (see rowSide; 0 until resolved) per
+	// clamped count of the query letter — 24 bytes at b=1. A step reads
+	// the header and one row word of one block, where per-field slices
+	// would cost a cache miss each. side holds the rows a word cannot
+	// pack (several moves, or fields too wide).
+	recs   []uint64
+	stride int
+	side   [][]nfsm.Move
+	// rpGen numbers the run: a header's re-pulse bit is valid while its
+	// tag equals it (the classifier is run configuration, not δ).
+	rpGen uint64
 	// mrows memoizes multi-letter dynamic δ rows by packed observation
 	// key (dynPack machines only). An open-addressing table beats a Go
 	// map here: the lookup is two array reads on the hot path and the
@@ -472,9 +448,23 @@ type dynScratch struct {
 	// step is an allocation storm.
 	mrows  rowTab
 	mcalls int
-	// out memoizes IsOutput for dynamic machines: -1 unknown, else 0/1.
-	out []int8
 }
+
+// A record header holds the query letter in its low 32 bits, then the
+// re-pulse tag, the re-pulse bit, the Q_O bit and hdrSet (filled). A row
+// word holds Next in its low 32 bits, Emit+1 in the next 16, the
+// chain-walk kind (see the row constants), isOutput(Next)−isOutput(q)+1
+// in two bits, and rowSide, which marks a row kept at side[low 32 bits]
+// instead (kind rowBranches). Both are non-zero once filled.
+const (
+	hdrGen       = 1<<61 - 1<<32
+	hdrRP        = 1 << 61
+	hdrOut       = 1 << 62
+	hdrSet       = 1 << 63
+	rowKindShift = 48
+	rowDoutShift = 50
+	rowSide      = 1 << 52
+)
 
 // rowTab is a linear-probing hash table from packed observation keys to
 // δ rows. No deletions; presence is a non-nil row.
@@ -549,16 +539,29 @@ func (ds *dynScratch) init(c *MachineCode) {
 		ds.cbuf = make([]nfsm.Count, c.nl)
 	}
 	ds.cbuf = ds.cbuf[:c.nl]
+	stride := 1
+	if c.kind == progDynamic && c.single != nil {
+		stride = c.b + 2
+	}
+	if stride != ds.stride {
+		ds.stride = stride
+		ds.recs = ds.recs[:0]
+	}
+	// A new run: re-pulse bits of earlier runs go stale.
+	if ds.rpGen++; ds.rpGen > hdrGen>>32 {
+		ds.rpGen = 1
+		ds.recs = ds.recs[:0]
+	}
 }
 
 // invalidate drops the machine-keyed memos (the scratch moved to a
 // different machine).
 func (ds *dynScratch) invalidate() {
-	ds.srows = ds.srows[:0]
-	ds.srkind = ds.srkind[:0]
+	ds.recs = ds.recs[:0]
+	clear(ds.side)
+	ds.side = ds.side[:0]
 	ds.mrows.clear()
 	ds.mcalls = 0
-	ds.out = ds.out[:0]
 }
 
 // dynMemoThreshold is the number of multi-letter δ resolutions a scratch
@@ -566,95 +569,177 @@ func (ds *dynScratch) invalidate() {
 const dynMemoThreshold = 8192
 
 // Row classifications for the asynchronous chain walker. Zero is
-// reserved for "not yet classified" so the memo's zero value is inert.
+// reserved for "not yet resolved" so an empty record word is inert.
 const (
-	rowUnknown    int8 = iota
-	rowBranches        // several moves, a transmission, or an output flip
-	rowSilentHop       // lone silent same-output-class move to another state
-	rowSilentSelf      // lone silent self-loop
+	rowBranches   int8 = iota + 1 // several moves, a transmission, or an output flip
+	rowSilentHop                  // lone silent same-output-class move to another state
+	rowSilentSelf                 // lone silent self-loop
 )
 
-// classifyRow classifies a δ row for state q (see the row constants).
-func (c *MachineCode) classifyRow(row []nfsm.Move, q nfsm.State, ds *dynScratch) int8 {
-	if len(row) != 1 || row[0].Emit != nfsm.NoLetter ||
-		c.isOutputDS(row[0].Next, ds) != c.isOutputDS(q, ds) {
+// rowKind classifies a single-move row of state q whose move changes
+// the output count by dout (see the row constants).
+func rowKind(mv nfsm.Move, q nfsm.State, dout int) int8 {
+	switch {
+	case mv.Emit != nfsm.NoLetter || dout != 0:
 		return rowBranches
-	}
-	if row[0].Next == q {
+	case mv.Next == q:
 		return rowSilentSelf
 	}
 	return rowSilentHop
 }
 
-// silentNext resolves δ for node v in state q and classifies the row in
-// one step, memoizing the classification for single-query dynamic
-// machines (the synchronizer compilations the asynchronous engine
-// executes) so a chain-walk hop costs a few array loads.
-func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch) (nfsm.State, int8) {
-	p := rc.p
-	if p.kind == progDynamic && p.single != nil {
-		ql := rc.queryOf(q)
-		cc := rc.raw[v*p.nl+int(ql)]
-		if cc > int32(p.b) {
-			cc = int32(p.b)
-		}
-		mi := int(q)*(p.b+1) + int(cc)
-		if mi < len(ds.srkind) {
-			if k := ds.srkind[mi]; k != rowUnknown {
-				if k == rowBranches {
-					return 0, k
-				}
-				return ds.srows[mi][0].Next, k
-			}
-		}
-		row := rc.movesFor(v, q, ds) // fills ds.srows[mi]
-		k := p.classifyRow(row, q, ds)
-		for len(ds.srkind) < len(ds.srows) {
-			ds.srkind = append(ds.srkind, 0)
-		}
-		ds.srkind[mi] = k
-		if k == rowBranches {
-			return 0, k
-		}
-		return row[0].Next, k
+// rec returns the index in ds.recs of state q's header word, filling
+// the header on first use.
+func (ds *dynScratch) rec(c *MachineCode, q nfsm.State) int {
+	i := int(q) * ds.stride
+	if i < len(ds.recs) && ds.recs[i] != 0 {
+		return i
 	}
-	row := rc.movesFor(v, q, ds)
-	if len(row) == 0 {
-		return 0, rowBranches
+	if need := i + ds.stride; need > len(ds.recs) {
+		ds.recs = append(ds.recs, make([]uint64, need-len(ds.recs))...)
 	}
-	k := p.classifyRow(row, q, ds)
-	if k == rowBranches {
-		return 0, k
+	h := uint64(hdrSet)
+	if c.m.IsOutput(q) {
+		h |= hdrOut
 	}
-	return row[0].Next, k
+	if c.single != nil {
+		h |= uint64(uint32(c.single.QueryLetter(q)))
+	}
+	ds.recs[i] = h
+	return i
 }
 
-// isOutputDS answers Q_O membership like isOutput, but memoizes dynamic
-// machines' answers in the caller's scratch so the hot loops do not
+// dynRow returns the record word of δ's row for node v in state q on a
+// dynamic single-query machine, or 0 when fillRow has yet to resolve
+// it: the header names the query letter, the node's clamped count of it
+// picks the word. It is call-free so that it inlines into the step and
+// the chain walker.
+func (rc *runCounts) dynRow(v int, q nfsm.State, ds *dynScratch) uint64 {
+	if i := int(q) * ds.stride; i < len(ds.recs) && ds.recs[i] != 0 {
+		return ds.recs[i+1+int(min(rc.raw[v*rc.p.nl+int(uint32(ds.recs[i]))], int32(rc.p.b)))]
+	}
+	return 0
+}
+
+// fillRow resolves the row word of node v in state q from Machine.Moves.
+func (rc *runCounts) fillRow(v int, q nfsm.State, ds *dynScratch) uint64 {
+	p := rc.p
+	i := ds.rec(p.MachineCode, q)
+	ql := uint32(ds.recs[i])
+	c := min(rc.raw[v*p.nl+int(ql)], int32(p.b))
+	ds.cbuf[ql] = nfsm.Count(c)
+	row := p.m.Moves(q, ds.cbuf)
+	var w uint64
+	mv := nfsm.Move{Next: -1} // packs only a lone move
+	if len(row) == 1 {
+		mv = row[0]
+	}
+	if mv.Next >= 0 && uint64(mv.Next) <= math.MaxUint32 && mv.Emit >= nfsm.NoLetter && mv.Emit < 1<<16-1 {
+		// rec may grow the table, so re-read q's header after it.
+		dout := 0
+		if mv.Next != q {
+			dout = b2i(ds.recs[ds.rec(p.MachineCode, mv.Next)]&hdrOut != 0) - b2i(ds.recs[i]&hdrOut != 0)
+		}
+		w = uint64(uint32(mv.Next)) | uint64(mv.Emit+1)<<32 |
+			uint64(rowKind(mv, q, dout))<<rowKindShift | uint64(dout+1)<<rowDoutShift
+	} else {
+		w = uint64(len(ds.side)) | uint64(rowBranches)<<rowKindShift | rowSide
+		ds.side = append(ds.side, row)
+	}
+	ds.recs[i+1+int(c)] = w
+	return w
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// silentNext resolves δ for node v in state q and classifies the row
+// for the chain walker; the successor is meaningful for the silent
+// kinds only. On dynamic single-query machines (the synchronizer
+// compilations the asynchronous engine executes) both come from one
+// record word.
+func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch) (nfsm.State, int8) {
+	if p := rc.p; p.kind == progDynamic && p.single != nil {
+		w := rc.dynRow(v, q, ds)
+		if w == 0 {
+			w = rc.fillRow(v, q, ds)
+		}
+		return nfsm.State(uint32(w)), int8(w >> rowKindShift & 3)
+	}
+	// Only a lone move is classified, so pick's coin goes unused.
+	if mv, dout, size := rc.pick(v, q, ds, 0, 0); size == 1 {
+		return mv.Next, rowKind(mv, q, dout)
+	}
+	return 0, rowBranches
+}
+
+// pick resolves δ for node v in state q and draws the move with the
+// shared coin (seed, v, t). It returns the move, the change it makes to
+// the output count (isOutput(Next) − isOutput(q)), and the size of the
+// row it came from (0: δ is empty there).
+func (rc *runCounts) pick(v int, q nfsm.State, ds *dynScratch, seed uint64, t int) (nfsm.Move, int, int) {
+	p := rc.p
+	var row []nfsm.Move
+	if p.kind == progDynamic && p.single != nil {
+		w := rc.dynRow(v, q, ds)
+		if w == 0 {
+			w = rc.fillRow(v, q, ds)
+		}
+		if w&rowSide == 0 {
+			mv := nfsm.Move{Next: nfsm.State(uint32(w)), Emit: nfsm.Letter(w>>32&(1<<16-1)) - 1}
+			return mv, int(w>>rowDoutShift&3) - 1, 1
+		}
+		row = ds.side[uint32(w)]
+	} else {
+		row = rc.movesFor(v, q, ds)
+	}
+	if len(row) == 0 {
+		return nfsm.Move{}, 0, 0
+	}
+	mv := nfsm.PickMove(seed, v, t, row)
+	dout := 0
+	if mv.Next != q {
+		dout = b2i(p.isOutputDS(mv.Next, ds)) - b2i(p.isOutputDS(q, ds))
+	}
+	return mv, dout, len(row)
+}
+
+// isOutputDS answers Q_O membership: from the bitset on flat kinds, from
+// the caller's record table on dynamic machines, so the hot loops do not
 // take the machine's lock per step.
 func (c *MachineCode) isOutputDS(q nfsm.State, ds *dynScratch) bool {
 	if c.kind != progDynamic {
 		return c.outMask[q>>6]>>(uint(q)&63)&1 == 1
 	}
-	if i := int(q); i < len(ds.out) {
-		if o := ds.out[i]; o >= 0 {
-			return o == 1
-		}
-	}
-	o := c.m.IsOutput(q)
-	for len(ds.out) <= int(q) {
-		ds.out = append(ds.out, -1)
-	}
-	if o {
-		ds.out[q] = 1
-	} else {
-		ds.out[q] = 0
-	}
-	return o
+	return ds.recs[ds.rec(c, q)]&hdrOut != 0
 }
 
-// movesFor resolves δ for node v in state q. ds is the caller's dynamic
-// scratch (per-worker when sharded); the flat paths never touch it.
+// rePulse answers f(q) (a voted run's re-pulse classifier), memoized in
+// q's record header for the current run on dynamic machines.
+func (c *MachineCode) rePulse(q nfsm.State, ds *dynScratch, f func(nfsm.State) bool) bool {
+	if c.kind != progDynamic {
+		return f(q)
+	}
+	i := ds.rec(c, q)
+	h := ds.recs[i]
+	if h&hdrGen>>32 != ds.rpGen {
+		h = h&^(hdrGen|hdrRP) | ds.rpGen<<32
+		if f(q) {
+			h |= hdrRP
+		}
+		ds.recs[i] = h
+	}
+	return h&hdrRP != 0
+}
+
+// movesFor resolves δ for node v in state q on every machine but the
+// dynamic single-query ones, which dynRow serves. ds is the caller's
+// dynamic scratch (per-worker when sharded); the flat paths never touch
+// it.
 func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 	p := rc.p
 	switch p.kind {
@@ -668,26 +753,6 @@ func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 		return p.delta[int(q)*p.pdim+int(rc.idx[v])]
 	}
 	base := v * p.nl
-	if p.single != nil {
-		ql := rc.queryOf(q)
-		c := rc.raw[base+int(ql)]
-		if c > int32(p.b) {
-			c = int32(p.b)
-		}
-		mi := int(q)*(p.b+1) + int(c)
-		if mi < len(ds.srows) {
-			if row := ds.srows[mi]; row != nil {
-				return row
-			}
-		}
-		ds.cbuf[ql] = nfsm.Count(c)
-		row := p.m.Moves(q, ds.cbuf)
-		for len(ds.srows) <= mi {
-			ds.srows = append(ds.srows, nil)
-		}
-		ds.srows[mi] = row
-		return row
-	}
 	if p.dynPack {
 		ds.mcalls++
 		if ds.mcalls > dynMemoThreshold {
@@ -712,22 +777,4 @@ func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 		ds.cbuf[l] = nfsm.ClampCount(int(rc.raw[base+l]), p.b)
 	}
 	return p.m.Moves(q, ds.cbuf)
-}
-
-// queryOf memoizes QueryLetter for dynamic single-query machines (their
-// state sets grow during execution, so the cache grows on demand). Only
-// the sequential executor path reaches it — dynamic single-query
-// machines are never sharded — so the memo needs no lock.
-func (rc *runCounts) queryOf(q nfsm.State) nfsm.Letter {
-	if int(q) < len(rc.dynQuery) {
-		if l := rc.dynQuery[q]; l != -2 {
-			return l
-		}
-	}
-	l := rc.p.single.QueryLetter(q)
-	for len(rc.dynQuery) <= int(q) {
-		rc.dynQuery = append(rc.dynQuery, -2)
-	}
-	rc.dynQuery[q] = l
-	return l
 }

@@ -432,19 +432,12 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 				}
 				mv = nfsm.Move{Next: q, Emit: d.sc.Byzantine[d.byz[v]].Emit(round, p.nl)}
 			} else {
-				moves := e.rc.movesFor(v, q, ds)
-				if len(moves) == 0 {
+				var dout, size int
+				if mv, dout, size = e.rc.pick(v, q, ds, seed, round); size == 0 {
 					r.err = deltaEmptyErr(v, q, round)
 					return r
 				}
-				mv = nfsm.PickMove(seed, v, round, moves)
-			}
-			if p.isOutputDS(mv.Next, ds) != p.isOutputDS(q, ds) {
-				if p.isOutputDS(mv.Next, ds) {
-					r.outDelta++
-				} else {
-					r.outDelta--
-				}
+				r.outDelta += dout
 			}
 			states[v] = mv.Next
 			if mv.Emit != nfsm.NoLetter {

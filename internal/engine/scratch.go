@@ -10,7 +10,7 @@ import (
 // aggregates, event queues, delivery pools, shard buffers), which
 // Program.RunSyncReusing / Program.RunAsyncReusing reuse so that
 // steady-state execution performs no queue or counter allocations. It
-// also keeps machine-keyed memos (δ-row and output-set caches of
+// also keeps machine-keyed memos (the per-state record table of
 // dynamic-fallback machines), invalidated when the scratch moves to a
 // different machine. A Scratch is not safe for concurrent use: give
 // each worker goroutine its own, as the campaign runner does.
@@ -109,20 +109,19 @@ func (s *Scratch) packed() *packedScratch {
 // first use and retained afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// bind points the scratch at a machine, invalidating machine-keyed
-// memos if it changes.
+// bind points the scratch at a machine for a run, invalidating
+// machine-keyed memos if it changes.
 func (s *Scratch) bind(c *MachineCode) {
-	if s.lastCode == c {
-		return
+	if s.lastCode != c {
+		s.lastCode = c
+		s.ds.invalidate()
+		// Idle workers' memos too: a later run may re-enable them unbound.
+		all := s.dss[:cap(s.dss)]
+		for i := range all {
+			all[i].invalidate()
+		}
 	}
-	s.lastCode = c
-	s.ds.invalidate()
-	// Idle workers' memos too: a later run may re-enable them unbound.
-	all := s.dss[:cap(s.dss)]
-	for i := range all {
-		all[i].invalidate()
-	}
-	s.rc.dynQuery = s.rc.dynQuery[:0]
+	s.ds.init(c)
 }
 
 // grow returns a length-n slice reusing buf's storage, every element
