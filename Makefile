@@ -25,20 +25,20 @@ test:
 # α synchronizer and the loss-tolerant αβ hybrid on every channel; the
 # hostile spec drives the same protocols through the voted αβv tier
 # against corruption and Byzantine silence, where the αβ hybrid fails.
-# The engine test line includes the bit-plane memory guard
-# (TestPackedFootprint: packed run state stays under its bytes-per-node
-# budget) and the dynamic-memo guard (TestDynMemoFootprint: the
-# per-state record table stays under its bytes-per-state budget); the
-# streamed million-node run is stonebench's sync-large
-# workload, which `make bench` runs. The benchmark line runs each of the
+# The engine test line runs the allocation guards (TestAllocs*) and the
+# ladder-queue unit tests outside the race detector, the bit-plane
+# memory guard (TestPackedFootprint: packed run state stays under its
+# bytes-per-node budget) and the dynamic-memo guard
+# (TestDynMemoFootprint: the per-state record table stays under its
+# bytes-per-state budget); the streamed million-node run is
+# stonebench's sync-large workload, which `make bench` runs. The benchmark line runs each of the
 # root package's microbenchmarks once, so a broken one fails the gate
 # instead of rotting; it measures nothing. The fuzz lines are time-boxed
 # runs of the two differential walls on fuzz-decoded machines, graphs,
 # scenarios and channels: the one synchronous round loop (every backend,
 # scenario and channel hook) against the synchronous reference engine,
 # then the one asynchronous event loop (parking across scenario batches,
-# the pooled FIFO, the synchronizer tiers) against the asynchronous
-# reference engine.
+# the synchronizer tiers) against the asynchronous reference engine.
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.
@@ -53,7 +53,7 @@ check: build
 	go vet ./...
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
-	go test ./internal/engine -run 'TestAllocs|TestLadder|TestDelivPool|TestPackedFootprint|TestDynMemoFootprint' -count=1
+	go test ./internal/engine -run 'TestAllocs|TestLadder|TestPackedFootprint|TestDynMemoFootprint' -count=1
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s

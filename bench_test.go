@@ -102,9 +102,10 @@ func BenchmarkLBA(b *testing.B) {
 }
 
 // BenchmarkCounterAblation isolates the engine's single-letter counting
-// fast path (used for literal single-query protocols such as compiled
-// ones) against the full-vector count a RoundProtocol needs. The gap is
-// the price of multi-letter queries per node step.
+// path (the per-state record table that serves dynamic single-query
+// machines such as the Theorem 3.4 expansion) against the full-vector
+// count a tabulated RoundProtocol needs. The gap is the price of
+// multi-letter queries per node step.
 func BenchmarkCounterAblation(b *testing.B) {
 	g := graph.Clique(64)
 	b.Run("full-vector/mis-round-protocol", func(b *testing.B) {

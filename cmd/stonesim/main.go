@@ -471,7 +471,10 @@ func buildGraph(opt options) (*graph.Graph, error) {
 	case "broom":
 		return graph.Broom(n), nil
 	case "gnp":
-		return graph.GnpConnected(n, p, src), nil
+		// The streamed builder skips between sampled pairs in O(n + m);
+		// the materialized GnpConnected flips a coin per pair, which
+		// never finishes at n = 10⁶.
+		return graph.ToGraph(graph.GnpConnectedStream(n, p, opt.seed))
 	case "geometric", "powerlaw", "smallworld":
 		// The campaign registry is the single source of truth for the
 		// sweep families' default parameters, so single runs generate

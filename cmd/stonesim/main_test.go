@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -272,6 +273,24 @@ func TestToyProtocolAppearsEverywhere(t *testing.T) {
 	out := runCLI(t, "-protocol", name, "-graph", "cycle", "-n", "8")
 	if !strings.Contains(out, "valid census of 8 nodes") {
 		t.Fatalf("toy run output = %q", out)
+	}
+}
+
+// TestGnpGraphIsStreamed pins the gnp family to the streamed G(n,p)
+// builder for one seed, so a run at n = 10⁶ costs O(n + m) draws, not a
+// coin per node pair.
+func TestGnpGraphIsStreamed(t *testing.T) {
+	const n, seed = 300, 7
+	got, err := buildGraph(options{graphKind: "gnp", n: n, seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.ToGraph(graph.GnpConnectedStream(n, 4.0/n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+		t.Fatalf("gnp graph (n=%d, m=%d) differs from the streamed builder's (n=%d, m=%d)", got.N(), got.M(), want.N(), want.M())
 	}
 }
 

@@ -10,9 +10,9 @@
 //
 // The implementation lives under internal/; see DESIGN.md for the system
 // inventory, the compiled execution core's architecture, the
-// asynchronous scheduler (a ladder event queue with pooled per-edge
-// delivery FIFOs and silent-chain parking that replays skipped steps
-// bit-identically to the reference engine), the campaign layer, the
+// asynchronous scheduler (a ladder event queue and silent-chain
+// parking that replays skipped steps bit-identically to the reference
+// engine), the campaign layer, the
 // protocol registry, the dynamic-network layer, the
 // unreliable-channel axis and the loss-tolerant αβ synchronizer,
 // the bit-plane synchronous backend (per-node state and clamped

@@ -99,8 +99,8 @@ type Stats struct {
 type Model interface {
 	Apply(from, step, to, copy int, f Fate, nl int, out []Fate, st *Stats) []Fate
 	// Reorders reports whether Apply may return non-zero Extra delays.
-	// Engines use it to decide whether per-edge FIFO clamping (and the
-	// ladder's pooled FIFO fast path) remains sound.
+	// Engines use it to decide whether per-edge FIFO clamping remains
+	// sound.
 	Reorders() bool
 	// MaxFanout bounds the copies Apply can emit per incoming copy
 	// (<= maxLayerFanout for a single policy).

@@ -26,7 +26,7 @@ import (
 )
 
 // allocProtocol is a small multi-letter round protocol that tabulates
-// to progFlatMulti (the compiled sync fast path).
+// to progFlat (the compiled sync fast path).
 func allocProtocol() *nfsm.RoundProtocol {
 	return miniRound()
 }
@@ -327,14 +327,12 @@ func TestAllocsAsyncChannelStack(t *testing.T) {
 }
 
 // TestAllocsLadderOps pins the queue itself: pushes and pops on a
-// warmed ladder must not allocate at all, and neither may the pooled
-// delivery FIFOs.
+// warmed ladder must not allocate at all.
 func TestAllocsLadderOps(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	var l ladder
-	var d delivPool
 	// Pre-draw the offsets so every cycle replays the same sequence and
 	// the closure body itself allocates nothing.
 	src := xrand.New(19)
@@ -344,7 +342,6 @@ func TestAllocsLadderOps(t *testing.T) {
 	}
 	cycle := func() {
 		l.reset()
-		d.reset(16)
 		now := 0.0
 		for i := 0; i < 512; i++ {
 			l.push(qevent{time: now + offs[i], seq: uint64(i)})
@@ -352,12 +349,6 @@ func TestAllocsLadderOps(t *testing.T) {
 				if e, ok := l.pop(); ok {
 					now = e.time
 				}
-			}
-			k := int32(i % 16)
-			if d.enqueue(k, now+1, uint64(i), 1) {
-				_ = k
-			} else if i%5 == 0 {
-				d.delivered(k)
 			}
 		}
 		for {
@@ -368,6 +359,6 @@ func TestAllocsLadderOps(t *testing.T) {
 	}
 	cycle() // grow all backing storage to the high-water mark
 	if allocs := testing.AllocsPerRun(10, cycle); allocs > 0 {
-		t.Fatalf("warmed ladder/pool cycle allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("warmed ladder cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -112,25 +112,23 @@ type AsyncConfig struct {
 	// resume from a reboot. The reset policy must be concrete (the
 	// protocol layer resolves ResetAuto). A nil or empty scenario is the
 	// static run: the same event loop with every scenario hook off. A
-	// scenario keeps the parking fast path on; one that mutates the
-	// topology turns off the pooled FIFO, whose slots a re-bind
-	// renumbers.
+	// scenario keeps the parking fast path on.
 	Scenario *scenario.Scenario
 	// Channel, when non-nil, subjects every transmission to an
 	// unreliable-link model: each per-neighbor copy is expanded through
 	// the model into zero or more delivered fates (dropped, duplicated,
 	// extra-delayed, corrupted — see package channel). A reordering
-	// model voids the per-edge FIFO guarantee (and the pooled-FIFO and
-	// parking fast paths); a nil Channel is the unchanged zero-overhead
-	// reliable path.
+	// model voids the per-edge FIFO guarantee, and any model turns off
+	// the parking fast path; a nil Channel is the unchanged
+	// zero-overhead reliable path.
 	Channel channel.Model
 	// Voted, when non-nil, selects the voted synchronizer tier's
 	// engine contract (see voted.go): burst transmissions decoded by a
 	// K-of-(2K−1) receipt vote, dead-edge eviction, and per-edge
 	// re-pulse backoff. The machine should be a synchro.CompileVoted
 	// compilation (the αβ state machine with the voted contract);
-	// voted runs disable the parking and pooled-FIFO fast paths and
-	// reject scenarios with topological mutations. Nil runs the plain
+	// voted runs disable the parking fast path and reject scenarios
+	// with topological mutations. Nil runs the plain
 	// or αβ contract unchanged.
 	Voted *VotedConfig
 }
@@ -223,16 +221,14 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 // reverse-port table for deliveries, and incremental count maintenance
 // in place of per-step port rescans.
 //
-// Events are ordered by the (time, seq) total order in a two-tier
-// ladder queue; in-flight deliveries beyond each directed edge's
-// earliest outstanding one wait in a pooled per-edge FIFO rather than
-// in the queue. Under a TieFree adversary, a node whose current δ row
-// is a lone ε self-loop is "parked": its spin steps leave the queue
-// entirely and are replayed arithmetically when a delivery next touches
-// the node (or when the run ends), consuming exactly the adversary
-// parameters and step counts the materialized steps would have — the
-// differential and fuzz walls check the executor is bit-identical to
-// the reference engine either way.
+// Events — steps and every in-flight delivery — are ordered by the
+// (time, seq) total order in a two-tier ladder queue. Under a TieFree
+// adversary, a node whose current δ row is a lone ε self-loop is
+// "parked": its spin steps leave the queue entirely and are replayed
+// arithmetically when a delivery next touches the node (or when the run
+// ends), consuming exactly the adversary parameters and step counts the
+// materialized steps would have — the differential and fuzz walls check
+// the executor is bit-identical to the reference engine either way.
 //
 // A non-empty cfg.Scenario is a hook inside the same loop, not a
 // separate executor: mutation batches apply before any event at or
@@ -249,8 +245,7 @@ func (p *Program) RunAsync(cfg AsyncConfig) (*AsyncResult, error) {
 // survives batches: a batch first replays every parked chain up to its
 // time, then mutates, then re-schedules those nodes from their pending
 // step, so a re-bind or reset is observed exactly when the reference
-// observes it. The pooled FIFO needs fixed slots, so a topological
-// scenario turns it off.
+// observes it.
 //
 // scr may be nil (a private arena is allocated); reusing one across
 // runs makes steady-state execution allocation-free.
@@ -290,7 +285,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	scr.bind(p.MachineCode)
 	rc := &scr.rc
 	rc.reset(p, cur)
-	ds := &scr.ds
+	ds := &scr.dss[0]
 	as := scr.async()
 
 	// portWriteAt[k] is the time of the last write to the port at CSR
@@ -311,8 +306,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 	lq := &as.lq
 	lq.reset()
-	dp := &as.dp
-	dp.reset(ne)
 
 	// Scenario state, zero on static runs: g is the evolving topology
 	// (cur is its CSR snapshot), live tracks who is awake, byz maps each
@@ -349,9 +342,8 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// eviction sentinel would be mis-rebuilt by a re-bind, so topological
 	// scenarios are rejected up front. Voting decouples deliveries from
 	// port writes (a receipt may commit nothing, or commit a letter other
-	// than its own), which the pooled-FIFO promotion and the parking
-	// replay both assume away, so voted runs materialize every delivery
-	// and every step.
+	// than its own), which the parking replay assumes away, so voted runs
+	// materialize every step.
 	var vs *votedState
 	if cfg.Voted != nil {
 		if bySender {
@@ -359,11 +351,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 		vs = newVotedState(cfg.Voted, ne)
 	}
-	// The pooled per-edge FIFO is keyed by slot and stays exact only
-	// while every edge's enqueue times are nondecreasing — true under
-	// non-reordering models, where duplicates land back-to-back in send
-	// order.
-	usePool := !reorders && vs == nil && !bySender
 
 	// Parking is sound only when no skipped step can tie exactly with a
 	// delivery (see TieFree); observers must see every step
@@ -893,11 +880,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			}
 			rc.setPort(v, k, nfsm.Letter(e.letter))
 			portWriteAt[k] = e.time
-			if usePool {
-				if nx, pending := dp.delivered(k); pending {
-					lq.push(qevent{time: nx.time, seq: nx.seq, node: e.node, aux: k, letter: nx.letter})
-				}
-			}
 			if canPark && parked[v] {
 				// The write may have changed what the node observes:
 				// invalidate the precomputed chain and re-decide from
@@ -1015,10 +997,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 						} else {
 							lastDelivery[k] = at
 						}
-						l := int32(f.Letter)
-						if !usePool || dp.enqueue(dst, at, seq, l) {
-							lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: l, corrupt: f.Corrupt})
-						}
+						lq.push(qevent{time: at, seq: seq, node: u, aux: dst, letter: int32(f.Letter), corrupt: f.Corrupt})
 						seq++
 					}
 				}

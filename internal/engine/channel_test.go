@@ -178,7 +178,7 @@ func TestDifferentialAsyncChannel(t *testing.T) {
 		{"compiled-mis/cycle", compiledMIS, graph.Cycle(12)},
 		// The αβ-hybrid machines: their re-pulse transmissions and
 		// stall-timer hop chains must stay bit-identical between the
-		// ladder (pooled FIFOs, silent-chain parking) and the reference
+		// ladder (silent-chain parking) and the reference
 		// under every model.
 		{"tolerant-ssmis/gnp", tolerantSS, graph.GnpConnected(24, 0.2, xrand.New(34))},
 		{"tolerant-mis/cycle", tolerantMIS, graph.Cycle(12)},
@@ -289,12 +289,12 @@ func TestChannelDropAllTerminates(t *testing.T) {
 	})
 }
 
-// TestAsyncChannelDupInvisible pins the pooled-FIFO edge case: a
-// Duplicate-only model keeps the ladder's per-edge delivery pool in
-// play, and because duplicate copies share their fate they land
-// back-to-back on an overwrite-only port — so the run's States must be
-// exactly the reliable baseline's, with only the loss accounting
-// (overwritten copies) and the Duplicated counter changed.
+// TestAsyncChannelDupInvisible pins the duplicate edge case: a
+// Duplicate-only model keeps per-edge FIFO order, and because duplicate
+// copies share their fate they land back-to-back on an overwrite-only
+// port — so the run's States must be exactly the reliable baseline's,
+// with only the loss accounting (overwritten copies) and the Duplicated
+// counter changed.
 func TestAsyncChannelDupInvisible(t *testing.T) {
 	compiled, err := synchro.CompileRound(ssmis.Protocol())
 	if err != nil {

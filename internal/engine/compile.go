@@ -14,21 +14,19 @@ type progKind uint8
 
 const (
 	// progDynamic calls m.Moves per node step: the generic fallback for
-	// machines whose δ cannot be tabulated ahead of time (multi-letter
-	// round protocols with a large count domain, and the lazily
-	// self-interning machines built by package synchro).
+	// machines whose δ cannot be tabulated ahead of time (protocols with
+	// a large count domain, and the lazily self-interning machines built
+	// by package synchro).
 	progDynamic progKind = iota
-	// progFlatSingle serves single-letter-query machines from the flat
-	// table delta[q*(b+1)+c], where c is the clamped count of the query
-	// letter λ(q).
-	progFlatSingle
-	// progFlatMulti serves multi-letter round protocols from the flat
-	// table delta[q*(b+1)^|Σ| + idx], where idx encodes the full clamped
-	// count vector in base b+1. The executors maintain idx incrementally.
-	progFlatMulti
+	// progFlat serves literal and round protocols from the flat table
+	// delta[q*(b+1)^|Σ| + idx], where idx encodes the full clamped count
+	// vector in base b+1. The executors maintain idx incrementally. A
+	// single-letter-query protocol is the special case whose rows depend
+	// on one coordinate of the vector.
+	progFlat
 )
 
-// maxTabulate bounds |Q|·(b+1)^|Σ| for multi-letter tabulation. Beyond
+// maxTabulate bounds |Q|·(b+1)^|Σ| for tabulation. Beyond
 // it Compile falls back to progDynamic (requirement (M4) makes the bound
 // generous: the paper's protocols fit except the coloring protocol's
 // 269·4¹² domain, which stays dynamic).
@@ -55,11 +53,10 @@ type MachineCode struct {
 	nl       int // |Σ|
 	b        int // one-two-many bound
 	initial  nfsm.Letter
-	outMask  []uint64      // flat kinds: Q_O membership bitset
-	query    []nfsm.Letter // progFlatSingle: λ as a dense array
-	delta    [][]nfsm.Move // flat δ rows (see progKind for the indexing)
-	pow      []int32       // progFlatMulti: pow[l] = (b+1)^l
-	pdim     int           // progFlatMulti: (b+1)^|Σ|
+	outMask  []uint64      // progFlat: Q_O membership bitset
+	delta    [][]nfsm.Move // progFlat: δ rows (see progKind)
+	pow      []int32       // progFlat: pow[l] = (b+1)^l
+	pdim     int           // progFlat: (b+1)^|Σ|
 	single   nfsm.SingleQuery
 	parallel bool // compute phase may be sharded across workers
 
@@ -106,15 +103,15 @@ func CompileMachine(m nfsm.Machine) *MachineCode {
 	if sq, ok := m.(nfsm.SingleQuery); ok {
 		c.single = sq
 	}
-	switch mm := m.(type) {
+	switch m.(type) {
 	case *nfsm.Protocol:
-		c.lowerProtocol(mm)
+		c.tabulate()
 		// A malformed protocol stays dynamic, where the single-query
 		// path writes the per-worker record table unsharded — shard only
 		// when the lowering actually succeeded.
 		c.parallel = c.kind != progDynamic
 	case *nfsm.RoundProtocol:
-		c.lowerRound(mm)
+		c.tabulate()
 		// A RoundProtocol's Transition is a pure function by contract,
 		// so even the dynamic fallback may be sharded across workers.
 		c.parallel = true
@@ -171,39 +168,12 @@ func (c *MachineCode) Machine() nfsm.Machine { return c.m }
 // a CSR-only binding (BindCSR).
 func (p *Program) Graph() *graph.Graph { return p.g }
 
-// lowerProtocol packs a literal single-query protocol: its δ is already
-// a dense table, so the rows are shared, not copied.
-func (c *MachineCode) lowerProtocol(m *nfsm.Protocol) {
-	nq, w := c.nq, c.b+1
-	if len(m.Delta) != nq || len(m.Query) != nq || len(m.Output) != nq {
-		return // malformed: stay dynamic, errors surface at runtime
-	}
-	for _, l := range m.Query {
-		if l < 0 || int(l) >= c.nl {
-			return // the flat path would read out of the node's count block
-		}
-	}
-	rows := make([][]nfsm.Move, nq*w)
-	for q := 0; q < nq; q++ {
-		if len(m.Delta[q]) != w {
-			return
-		}
-		copy(rows[q*w:], m.Delta[q])
-	}
-	c.delta = rows
-	c.query = m.Query
-	c.outMask = outputBitset(nq, m.IsOutput)
-	c.kind = progFlatSingle
-}
-
-// lowerRound tabulates a multi-letter round protocol over its full count
+// tabulate lowers a literal or round protocol over its full count
 // domain |Q|·(b+1)^|Σ|, exactly the enumeration RoundProtocol.Audit
-// performs. Domains beyond maxTabulate stay dynamic.
-func (c *MachineCode) lowerRound(m *nfsm.RoundProtocol) {
-	if m.Transition == nil {
-		return
-	}
-	nq, nl, w := c.nq, c.nl, c.b+1
+// performs: each entry is the slice m.Moves returns for that
+// observation. Domains beyond maxTabulate stay dynamic.
+func (c *MachineCode) tabulate() {
+	m, nq, nl, w := c.m, c.nq, c.nl, c.b+1
 	pdim := 1
 	for l := 0; l < nl; l++ {
 		pdim *= w
@@ -213,8 +183,9 @@ func (c *MachineCode) lowerRound(m *nfsm.RoundProtocol) {
 	}
 	defer func() {
 		// A transition that panics on an unreachable count vector cannot
-		// be tabulated; the dynamic path only ever shows it reachable
-		// observations.
+		// be tabulated, and neither can a malformed protocol; the dynamic
+		// path only ever shows it reachable observations, and errors
+		// surface at run time.
 		if recover() != nil {
 			c.kind = progDynamic
 			c.delta = nil
@@ -234,14 +205,14 @@ func (c *MachineCode) lowerRound(m *nfsm.RoundProtocol) {
 			rest /= w
 		}
 		for q := 0; q < nq; q++ {
-			rows[q*pdim+idx] = m.Transition(nfsm.State(q), counts)
+			rows[q*pdim+idx] = m.Moves(nfsm.State(q), counts)
 		}
 	}
 	c.delta = rows
 	c.pow = pow
 	c.pdim = pdim
 	c.outMask = outputBitset(nq, m.IsOutput)
-	c.kind = progFlatMulti
+	c.kind = progFlat
 }
 
 func intPow(base, exp int) int {
@@ -265,7 +236,7 @@ func outputBitset(nq int, isOutput func(nfsm.State) bool) []uint64 {
 // runCounts is the per-run mutable execution state shared by the
 // synchronous and asynchronous executors: the flat port array aligned
 // with the CSR edge order, the per-node raw (unclamped) letter counts,
-// and — for progFlatMulti — the per-node base-(b+1) encoding of the
+// and — for progFlat — the per-node base-(b+1) encoding of the
 // clamped count vector, all maintained incrementally as ports change.
 type runCounts struct {
 	p *Program
@@ -275,7 +246,7 @@ type runCounts struct {
 	portDat []nfsm.Letter
 	// raw[v*|Σ|+l] counts the ports of v currently holding letter l.
 	raw []int32
-	// idx[v] = Σ_l f_b(raw[v][l])·pow[l] (progFlatMulti only).
+	// idx[v] = Σ_l f_b(raw[v][l])·pow[l] (progFlat only).
 	idx []int32
 	// idxBuf backs idx across resets (idx itself is nil for non-flat
 	// kinds, so the capacity is kept separately).
@@ -293,7 +264,7 @@ func (rc *runCounts) reset(p *Program, csr *graph.CSR) {
 	rc.portDat = grow(rc.portDat, len(csr.NbrDat), p.initial)
 	rc.raw = grow(rc.raw, n*p.nl, 0)
 	rc.idx = nil
-	if p.kind == progFlatMulti {
+	if p.kind == progFlat {
 		rc.idxBuf = grow(rc.idxBuf, n, 0)
 		rc.idx = rc.idxBuf
 	}
@@ -354,7 +325,7 @@ func (rc *runCounts) resetNode(v int, csr *graph.CSR) {
 }
 
 // encodeIdx recomputes the base-(b+1) clamped-count encoding of one
-// node's raw count block (progFlatMulti only).
+// node's raw count block (progFlat only).
 func (rc *runCounts) encodeIdx(base int) int32 {
 	p := rc.p
 	var idx int32
@@ -742,14 +713,7 @@ func (c *MachineCode) rePulse(q nfsm.State, ds *dynScratch, f func(nfsm.State) b
 // it.
 func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 	p := rc.p
-	switch p.kind {
-	case progFlatSingle:
-		c := rc.raw[v*p.nl+int(p.query[q])]
-		if c > int32(p.b) {
-			c = int32(p.b)
-		}
-		return p.delta[int(q)*(p.b+1)+int(c)]
-	case progFlatMulti:
+	if p.kind == progFlat {
 		return p.delta[int(q)*p.pdim+int(rc.idx[v])]
 	}
 	base := v * p.nl

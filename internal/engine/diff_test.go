@@ -3,9 +3,9 @@ package engine_test
 // The differential determinism suite: the compiled executor (Compile →
 // Program.RunSync, at every worker count) must be bit-identical to the
 // reference engine RunSyncRef on every protocol kind the compiler
-// distinguishes — flat single-query tables, fully tabulated multi-letter
-// tables, and both dynamic fallbacks (pure RoundProtocol and the
-// lazily-interning synchro machines). This is the observational
+// distinguishes — fully tabulated tables (literal single-query protocols
+// and multi-letter round protocols alike), and both dynamic fallbacks
+// (pure RoundProtocol and the lazily-interning synchro machines). This is the observational
 // equivalence that licenses the representation swap.
 
 import (
@@ -29,7 +29,7 @@ type diffCase struct {
 	g    *graph.Graph
 }
 
-// flood is a literal single-query Protocol (progFlatSingle): sources
+// flood is a literal single-query Protocol (tabulated): sources
 // flood a PING wave with a random two-way branch so several moves per
 // row are exercised.
 func flood() *nfsm.Protocol {

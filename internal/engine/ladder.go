@@ -1,9 +1,8 @@
 package engine
 
 // This file implements the asynchronous engines' event core: a two-tier
-// ladder (calendar) queue ordered by (time, seq), and the pooled
-// per-directed-edge delivery FIFOs that keep steady-state execution free
-// of heap allocations.
+// ladder (calendar) queue ordered by (time, seq) that keeps steady-state
+// execution free of heap allocations.
 //
 // The queue replaces the binary min-heap of the earlier engines. A heap
 // pays O(log n) comparisons on every push and pop; the ladder exploits
@@ -299,99 +298,4 @@ func sortEvents(ev []qevent) {
 		}
 		ev[j+1] = e
 	}
-}
-
-// pend is one pooled in-flight delivery waiting behind the head of its
-// directed edge's FIFO. Entries form intrusive per-edge lists through
-// next; freed entries chain on the pool's free list, so the steady
-// state recycles storage without allocating.
-type pend struct {
-	time   float64
-	seq    uint64
-	letter int32
-	next   int32
-}
-
-// delivPool is the pooled per-directed-edge delivery FIFO set used by
-// the asynchronous executor on runs whose slots never renumber.
-// Deliveries on a directed edge are FIFO (the adversary's horizons are
-// clamped monotone), so only the earliest outstanding delivery of each
-// edge needs to live in the ladder; the rest wait here and are promoted
-// one at a time. This
-// bounds the ladder's population by the number of directed edges plus
-// nodes regardless of how many deliveries the adversary keeps in
-// flight, and every entry is pool-recycled.
-type delivPool struct {
-	pool []pend
-	free int32
-	// head/tail index the per-edge-slot lists (-1 when empty); live
-	// marks edges whose earliest outstanding delivery is in the ladder.
-	head []int32
-	tail []int32
-	live []bool
-}
-
-// reset prepares the pool for ne directed edge slots, retaining
-// storage.
-func (d *delivPool) reset(ne int) {
-	d.pool = d.pool[:0]
-	d.free = -1
-	if cap(d.head) < ne {
-		d.head = make([]int32, ne)
-		d.tail = make([]int32, ne)
-		d.live = make([]bool, ne)
-	}
-	d.head = d.head[:ne]
-	d.tail = d.tail[:ne]
-	d.live = d.live[:ne]
-	for i := range d.head {
-		d.head[i] = -1
-		d.tail[i] = -1
-		d.live[i] = false
-	}
-}
-
-// enqueue records a delivery on edge slot k. It reports whether the
-// delivery is the edge's new FIFO head and must enter the ladder now
-// (otherwise it waits pooled behind the in-ladder head).
-func (d *delivPool) enqueue(k int32, time float64, seq uint64, letter int32) bool {
-	if !d.live[k] {
-		d.live[k] = true
-		return true
-	}
-	var i int32
-	if d.free >= 0 {
-		i = d.free
-		d.free = d.pool[i].next
-	} else {
-		d.pool = append(d.pool, pend{})
-		i = int32(len(d.pool) - 1)
-	}
-	d.pool[i] = pend{time: time, seq: seq, letter: letter, next: -1}
-	if d.tail[k] >= 0 {
-		d.pool[d.tail[k]].next = i
-	} else {
-		d.head[k] = i
-	}
-	d.tail[k] = i
-	return false
-}
-
-// delivered consumes the in-ladder head of edge slot k and promotes the
-// next pooled delivery, if any, returning it for insertion into the
-// ladder.
-func (d *delivPool) delivered(k int32) (pend, bool) {
-	i := d.head[k]
-	if i < 0 {
-		d.live[k] = false
-		return pend{}, false
-	}
-	p := d.pool[i]
-	d.head[k] = p.next
-	if p.next < 0 {
-		d.tail[k] = -1
-	}
-	d.pool[i].next = d.free
-	d.free = i
-	return p, true
 }

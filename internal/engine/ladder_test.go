@@ -1,11 +1,10 @@
 package engine
 
-// Unit tests for the ladder event queue and the pooled per-edge
-// delivery FIFOs: exact (time, seq) service order against a reference
-// model under random interleavings, seq tie-breaking on simultaneous
-// events, bucket overflow/rebuild paths (everything clustered in one
-// bucket; far-future spreads; repeated rung rebuilds), and storage
-// reuse across resets. The executors' epoch invalidation — stale
+// Unit tests for the ladder event queue: exact (time, seq) service
+// order against a reference model under random interleavings, seq
+// tie-breaking on simultaneous events, bucket overflow/rebuild paths
+// (everything clustered in one bucket; far-future spreads; repeated rung
+// rebuilds), and storage reuse across resets. The executors' epoch invalidation — stale
 // precomputed events skipped after a mid-chain delivery or a crash — is
 // pinned at the engine level by TestAsyncEpochInvalidation and the
 // dynamic differential suite.
@@ -207,44 +206,6 @@ func TestLadderPeek(t *testing.T) {
 		if e.time != pt {
 			t.Fatalf("peek %g, pop %g", pt, e.time)
 		}
-	}
-}
-
-// TestDelivPoolFIFO checks the pooled per-edge FIFOs: only the head of
-// each edge enters the ladder, successors promote in creation order,
-// and freed entries are recycled.
-func TestDelivPoolFIFO(t *testing.T) {
-	var d delivPool
-	d.reset(3)
-	if !d.enqueue(1, 1.0, 10, 7) {
-		t.Fatal("first delivery of an edge must enter the ladder")
-	}
-	for i := 0; i < 4; i++ {
-		if d.enqueue(1, 1.5+float64(i), uint64(11+i), int32(20+i)) {
-			t.Fatalf("queued delivery %d must wait pooled", i)
-		}
-	}
-	if d.enqueue(2, 0.5, 99, 1) != true {
-		t.Fatal("independent edge must enter the ladder")
-	}
-	for i := 0; i < 4; i++ {
-		nx, ok := d.delivered(1)
-		if !ok {
-			t.Fatalf("promotion %d missing", i)
-		}
-		if nx.seq != uint64(11+i) || nx.letter != int32(20+i) || nx.time != 1.5+float64(i) {
-			t.Fatalf("promotion %d = %+v out of FIFO order", i, nx)
-		}
-	}
-	if _, ok := d.delivered(1); ok {
-		t.Fatal("empty edge promoted a phantom delivery")
-	}
-	if !d.enqueue(1, 9, 50, 3) {
-		t.Fatal("edge drained: next delivery must re-enter the ladder")
-	}
-	// Recycling: the pool must not have grown beyond the high-water mark.
-	if len(d.pool) > 4 {
-		t.Fatalf("pool grew to %d entries, want ≤ 4 (free-list reuse)", len(d.pool))
 	}
 }
 

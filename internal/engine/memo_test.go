@@ -20,9 +20,12 @@ import (
 )
 
 // TestAsyncScratchAcrossMachines runs α-mis, αβv-mis, α-ssmis and α-mis
-// again on one Scratch. Each result must equal the same run on a fresh
-// scratch: a record of the previous machine surviving Scratch.bind would
-// hand a run another machine's δ rows, query letters or output bits.
+// again on one Scratch, with synchronous runs of α-mis interleaved. Each
+// result must equal the same run on a fresh scratch: a record of the
+// previous machine surviving Scratch.bind would hand a run another
+// machine's δ rows, query letters or output bits, and a record the
+// synchronous engine left in the table it shares with the asynchronous
+// one must read the same to both.
 func TestAsyncScratchAcrossMachines(t *testing.T) {
 	compile := func(c func(*nfsm.RoundProtocol) (*synchro.Compiled, error), p *nfsm.RoundProtocol) *synchro.Compiled {
 		m, err := c(p)
@@ -40,20 +43,32 @@ func TestAsyncScratchAcrossMachines(t *testing.T) {
 		name  string
 		prog  *engine.Program
 		voted *engine.VotedConfig
+		sync  bool
 	}{
-		{"alpha-mis", alphaProg, nil},
-		{"voted-mis", engine.Compile(votedMIS, g), &engine.VotedConfig{RePulseSource: votedMIS.RePulseSource}},
-		{"alpha-ssmis", engine.Compile(alphaSSMIS, g), nil},
-		{"alpha-mis-again", alphaProg, nil},
+		{"alpha-mis-sync", alphaProg, nil, true},
+		{"alpha-mis", alphaProg, nil, false},
+		{"alpha-mis-sync-again", alphaProg, nil, true},
+		{"voted-mis", engine.Compile(votedMIS, g), &engine.VotedConfig{RePulseSource: votedMIS.RePulseSource}, false},
+		{"alpha-ssmis", engine.Compile(alphaSSMIS, g), nil, false},
+		{"alpha-mis-again", alphaProg, nil, false},
+		{"alpha-mis-sync-last", alphaProg, nil, true},
 	}
 	scr := engine.NewScratch()
 	for i, r := range runs {
-		cfg := engine.AsyncConfig{
-			Seed: uint64(11 + i), Adversary: engine.UniformRandom{Seed: uint64(5 + i)},
-			Voted: r.voted, MaxSteps: 1 << 22,
+		var got, want any
+		var gotErr, wantErr error
+		if r.sync {
+			cfg := engine.SyncConfig{Seed: uint64(11 + i)}
+			got, gotErr = r.prog.RunSyncReusing(cfg, scr)
+			want, wantErr = r.prog.RunSync(cfg)
+		} else {
+			cfg := engine.AsyncConfig{
+				Seed: uint64(11 + i), Adversary: engine.UniformRandom{Seed: uint64(5 + i)},
+				Voted: r.voted, MaxSteps: 1 << 22,
+			}
+			got, gotErr = r.prog.RunAsyncReusing(cfg, scr)
+			want, wantErr = r.prog.RunAsync(cfg)
 		}
-		got, gotErr := r.prog.RunAsyncReusing(cfg, scr)
-		want, wantErr := r.prog.RunAsync(cfg)
 		if !errors.Is(gotErr, engine.ErrNoConvergence) && gotErr != nil {
 			t.Fatalf("%s: %v", r.name, gotErr)
 		}
@@ -61,8 +76,7 @@ func TestAsyncScratchAcrossMachines(t *testing.T) {
 			t.Fatalf("%s: reused scratch error %v, fresh scratch error %v", r.name, gotErr, wantErr)
 		}
 		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: reused-scratch result differs from a fresh scratch's (steps %d vs %d, time %g vs %g)",
-				r.name, got.Steps, want.Steps, got.Time, want.Time)
+			t.Fatalf("%s: reused-scratch result differs from a fresh scratch's:\n%+v\n%+v", r.name, got, want)
 		}
 	}
 }

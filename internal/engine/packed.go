@@ -72,7 +72,7 @@ func (c *MachineCode) PackedEligible() bool { return c.packedCode().ok }
 
 func buildPackedCode(c *MachineCode) *packedCode {
 	pc := &packedCode{}
-	if (c.kind != progFlatSingle && c.kind != progFlatMulti) || !c.parallel {
+	if c.kind != progFlat || !c.parallel {
 		return pc
 	}
 	if c.b < 1 || c.b > maxPackedB || c.nq < 1 || c.nq > 1<<15 || c.nl < 1 || c.nl > 1<<15 {
@@ -80,13 +80,9 @@ func buildPackedCode(c *MachineCode) *packedCode {
 	}
 	pc.wQ = planeWidth(c.nq)
 	pc.wE = planeWidth(c.nl)
-	span := c.b + 1
-	if c.kind == progFlatMulti {
-		span = c.pdim
-	}
 	pc.settled = make([]uint64, (len(c.delta)+63)/64)
 	for e, row := range c.delta {
-		q := nfsm.State(e / span)
+		q := nfsm.State(e / c.pdim)
 		if len(row) == 1 && row[0].Emit == nfsm.NoLetter && row[0].Next == q {
 			pc.settled[e>>6] |= 1 << (uint(e) & 63)
 		}
@@ -314,8 +310,6 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 	live := false
 	nl, b := ps.nl, p.b
 	wC, wQ, wE := ps.wC, ps.wQ, ps.wE
-	single := p.kind == progFlatSingle
-	span := b + 1
 
 	for w := loW; w < hiW; w++ {
 		act := ^ps.stable[w]
@@ -363,25 +357,15 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 			for j := 0; j < wQ; j++ {
 				q |= int(ps.stP[j][w]>>i&1) << j
 			}
-			var eIdx int
-			if single {
-				l := int(p.query[q])
-				cc := int(c0[l] >> i & 1)
+			idx := int32(0)
+			for l := 0; l < nl; l++ {
+				cc := int32(c0[l] >> i & 1)
 				if b >= 2 {
-					cc |= int(c1[l]>>i&1) << 1
+					cc |= int32(c1[l]>>i&1) << 1
 				}
-				eIdx = q*span + cc
-			} else {
-				idx := int32(0)
-				for l := 0; l < nl; l++ {
-					cc := int32(c0[l] >> i & 1)
-					if b >= 2 {
-						cc |= int32(c1[l]>>i&1) << 1
-					}
-					idx += cc * p.pow[l]
-				}
-				eIdx = q*p.pdim + int(idx)
+				idx += cc * p.pow[l]
 			}
+			eIdx := q*p.pdim + int(idx)
 			row := p.delta[eIdx]
 			if len(row) == 0 {
 				return shardResult{tx: tx, outDelta: outDelta, err: deltaEmptyErr(v, nfsm.State(q), round)}
@@ -415,19 +399,7 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 					emitters = append(emitters, packedEmit{v: int32(v), old: int16(le), nw: int16(mv.Emit)})
 				}
 			}
-			e2 := eIdx
-			if nq2 != q {
-				if single {
-					l := int(p.query[nq2])
-					cc := int(c0[l] >> i & 1)
-					if b >= 2 {
-						cc |= int(c1[l]>>i&1) << 1
-					}
-					e2 = nq2*span + cc
-				} else {
-					e2 += (nq2 - q) * p.pdim
-				}
-			}
+			e2 := eIdx + (nq2-q)*p.pdim
 			if pc.settled[e2>>6]>>(uint(e2)&63)&1 == 1 {
 				ps.stable[w] |= bit
 			}

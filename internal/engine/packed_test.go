@@ -14,7 +14,7 @@ import (
 
 // packedTestProto is a small packed-eligible literal protocol (the
 // mis/ssmis machines live above the engine and would import-cycle): a
-// ping flood with a branching row, progFlatSingle with b = 2.
+// ping flood with a branching row, a single-query protocol with b = 2.
 func packedTestProto() *nfsm.Protocol {
 	stay := func(q nfsm.State) []nfsm.Move { return []nfsm.Move{{Next: q, Emit: nfsm.NoLetter}} }
 	return &nfsm.Protocol{

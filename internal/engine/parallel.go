@@ -105,7 +105,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 	k.shard(scr, pool)
 
 	// Termination is every awake honest node in an output state.
-	outputs, target := dyn.count(p, &scr.ds, states)
+	outputs, target := dyn.count(p, &scr.dss[0], states)
 	if !dyn.pending() && outputs == target {
 		return res, nil
 	}
@@ -122,7 +122,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 			if err := fk.applyBatches(round, res); err != nil {
 				return nil, err
 			}
-			outputs, target = dyn.count(p, &scr.ds, states)
+			outputs, target = dyn.count(p, &scr.dss[0], states)
 			lastPerturb = round - 1
 		}
 		r := pool.run(k, round)
@@ -356,7 +356,7 @@ func (e *flatKernel) decode([]nfsm.State) {}
 // compute applies δ to every node of [lo, hi) against its frozen
 // counts, drawing its move from the node-indexed coin. Writes touch only
 // states[v], emits[v] and the worker's own emitter list, so shards never
-// conflict. The flat kinds run without a function call per node;
+// conflict. Tabulated machines run without a function call per node;
 // dynamic-fallback machines and every scenario run take the generic
 // path.
 func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
@@ -371,37 +371,11 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 		kind = progDynamic
 	}
 	switch kind {
-	case progFlatMulti:
+	case progFlat:
 		delta, pdim, idx := p.delta, p.pdim, e.rc.idx
 		for v := lo; v < hi; v++ {
 			q := states[v]
 			moves := delta[int(q)*pdim+int(idx[v])]
-			if len(moves) == 0 {
-				r.err = deltaEmptyErr(v, q, round)
-				return r
-			}
-			mv := nfsm.PickMove(seed, v, round, moves)
-			if mv.Next != q {
-				r.outDelta += int(mask[mv.Next>>6]>>(uint(mv.Next)&63)&1) - int(mask[q>>6]>>(uint(q)&63)&1)
-				states[v] = mv.Next
-			}
-			if mv.Emit != nfsm.NoLetter {
-				emits[v] = mv.Emit
-				emitters = append(emitters, int32(v))
-				r.tx++
-			}
-		}
-	case progFlatSingle:
-		delta, query, raw := p.delta, p.query, e.rc.raw
-		nl, b := p.nl, int32(p.b)
-		w := p.b + 1
-		for v := lo; v < hi; v++ {
-			q := states[v]
-			c := raw[v*nl+int(query[q])]
-			if c > b {
-				c = b
-			}
-			moves := delta[int(q)*w+int(c)]
 			if len(moves) == 0 {
 				r.err = deltaEmptyErr(v, q, round)
 				return r

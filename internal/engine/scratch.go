@@ -7,21 +7,21 @@ import (
 
 // Scratch is a reusable per-execution arena: the per-node,
 // per-directed-edge and per-worker working state of a run (ports, count
-// aggregates, event queues, delivery pools, shard buffers), which
+// aggregates, the event queue, shard buffers), which
 // Program.RunSyncReusing / Program.RunAsyncReusing reuse so that
 // steady-state execution performs no queue or counter allocations. It
 // also keeps machine-keyed memos (the per-state record table of
-// dynamic-fallback machines), invalidated when the scratch moves to a
-// different machine. A Scratch is not safe for concurrent use: give
-// each worker goroutine its own, as the campaign runner does.
+// dynamic-fallback machines, one per worker; worker 0's also serves the
+// async loop and the sync output tally), invalidated when the scratch
+// moves to a different machine. A Scratch is not safe for concurrent
+// use: give each worker goroutine its own, as the campaign runner does.
 type Scratch struct {
 	rc runCounts
-	ds dynScratch
 
 	// as holds the asynchronous executors' working state — the ladder
-	// queue, delivery pools, parking arrays — allocated on first async
-	// use so purely synchronous callers pay for none of it (the inline
-	// bucket table alone is over a kilobyte).
+	// queue, parking arrays — allocated on first async use so purely
+	// synchronous callers pay for none of it (the inline bucket table
+	// alone is over a kilobyte).
 	as *asyncScratch
 
 	// pk holds the bit-plane backend's plane storage, allocated on
@@ -43,7 +43,6 @@ type Scratch struct {
 // asyncScratch is the asynchronous executors' reusable working state.
 type asyncScratch struct {
 	lq ladder
-	dp delivPool
 
 	portWriteAt  []float64
 	lastDelivery []float64
@@ -110,18 +109,19 @@ func (s *Scratch) packed() *packedScratch {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // bind points the scratch at a machine for a run, invalidating
-// machine-keyed memos if it changes.
+// machine-keyed memos if it changes, and readies worker 0's record
+// table.
 func (s *Scratch) bind(c *MachineCode) {
+	s.dss = perWorker(s.dss, max(1, len(s.dss)))
 	if s.lastCode != c {
 		s.lastCode = c
-		s.ds.invalidate()
 		// Idle workers' memos too: a later run may re-enable them unbound.
 		all := s.dss[:cap(s.dss)]
 		for i := range all {
 			all[i].invalidate()
 		}
 	}
-	s.ds.init(c)
+	s.dss[0].init(c)
 }
 
 // grow returns a length-n slice reusing buf's storage, every element

@@ -1,10 +1,13 @@
 package protocol_test
 
 import (
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"stoneage/internal/channel"
 	"stoneage/internal/graph"
 	"stoneage/internal/protocol"
 	"stoneage/internal/xrand"
@@ -153,6 +156,75 @@ func TestMachineCodeCacheIsShared(t *testing.T) {
 	}
 	if r1.Rounds != r2.Rounds || r1.Transmissions != r2.Transmissions {
 		t.Fatalf("repeat run diverged: %+v vs %+v", r1, r2)
+	}
+}
+
+// TestBoundTiersConcurrent runs every tier — the synchronous machine and
+// the α, tolerant and voted synchronizer compilations — twice at once on
+// one Bound, the asynchronous ones over a lossy channel. Each tier owns
+// its cache slot, so each run must equal the same run on a fresh Bound,
+// and the three synchronizers must behave differently (a shared slot
+// would hand them one machine): α stalls on a lost pulse, the tolerant
+// tier retransmits, and the voted tier also counts re-pulses.
+func TestBoundTiersConcurrent(t *testing.T) {
+	d, err := protocol.Lookup("mis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GnpConnected(16, 0.2, xrand.New(2))
+	run := func(b *protocol.Bound, tier string) (*protocol.Run, error) {
+		if tier == "sync" {
+			return b.RunSync(protocol.SyncConfig{Seed: 3, Workers: 1})
+		}
+		return b.RunAsync(protocol.AsyncConfig{
+			Seed: 3, Synchro: tier, MaxSteps: 1 << 18,
+			Channel: channel.Drop{Rate: 0.1, Seed: 4},
+		})
+	}
+	tiers := []string{"sync", protocol.SynchroAlpha, protocol.SynchroTolerant, protocol.SynchroVoted}
+	shared, err := d.Bind(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*protocol.Run, 2*len(tiers))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(shared, tiers[i%len(tiers)])
+		}(i)
+	}
+	wg.Wait()
+	type outcome struct {
+		ok              bool
+		steps, rePulses int64
+	}
+	seen := map[outcome]bool{}
+	for i, r := range got {
+		tier := tiers[i%len(tiers)]
+		fresh, err := d.Bind(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := run(fresh, tier)
+		if (errs[i] == nil) != (wantErr == nil) {
+			t.Fatalf("%s: shared-Bound error %v, fresh-Bound error %v", tier, errs[i], wantErr)
+		}
+		if errs[i] == nil && !reflect.DeepEqual(r, want) {
+			t.Fatalf("%s: shared-Bound run %+v differs from a fresh Bound's %+v", tier, r, want)
+		}
+		if tier != "sync" {
+			o := outcome{ok: r != nil}
+			if r != nil {
+				o.steps, o.rePulses = r.Steps, r.RePulses
+			}
+			seen[o] = true
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("the three synchronizer tiers gave %d distinct outcomes %v, want 3", len(seen), seen)
 	}
 }
 

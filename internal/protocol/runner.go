@@ -18,15 +18,24 @@ import (
 // This file is the shared generic runner every protocol's
 // SolveSync/SolveAsync entry point routes through: argument resolution
 // against the declared domains, capability checks against the bound
-// graph, the once-per-argument-vector MachineCode cache (one entry each
-// for the synchronous machine and its Theorem 3.1/3.4 synchronizer
-// compilation), and the sync/async executors.
+// graph, the once-per-argument-vector MachineCode cache, and the
+// sync/async executors.
 //
-// The synchronizer-compiled machine is cached and shared across runs
-// and goroutines. Synchro machines intern their state sets lazily
-// during execution, so the *numbering* of compiled states depends on
-// which run interned them first — but nothing observable does: moves
-// are chosen by index from rows whose length and order are
+// The cache holds one slot per tier: the synchronous machine and each
+// of its synchronizer compilations (α, the loss-tolerant αβ hybrid and
+// the voted αβv tier). Callers of one tier never pay for another's
+// compile, and no two tiers share a machine: their state spaces differ
+// (the tolerant descriptors carry re-pulse bookkeeping), so sharing
+// would silently swap one semantics for another — and although the
+// voted machine is the tolerant state machine verbatim, sharing its
+// slot would share interning order between runs that must stay
+// independently reproducible.
+//
+// Within a tier the synchronizer-compiled machine is cached and shared
+// across runs and goroutines. Synchro machines intern their state sets
+// lazily during execution, so the *numbering* of compiled states
+// depends on which run interned them first — but nothing observable
+// does: moves are chosen by index from rows whose length and order are
 // interning-invariant, emitted letters and output membership are
 // properties of the state descriptor, and every consumer decodes final
 // states back to source states through the same machine instance. The
@@ -164,155 +173,84 @@ func argsKey(args Args) string {
 	return b.String()
 }
 
-// codeEntry is one lazily compiled machine-code cache slot: the
-// synchronous machine's code, and — separately, because async-only and
-// sync-only callers should not pay for both — the synchronizer-compiled
-// asynchronous machine with its code.
-type codeEntry struct {
+// tier indexes the per-argument-vector cache slots (see the file
+// comment).
+type tier int
+
+const (
+	tierSync tier = iota
+	tierAlpha
+	tierTolerant
+	tierVoted
+	numTiers
+)
+
+// tierCompile is each tier's synchronizer compiler; the synchronous
+// tier runs the protocol's machine itself.
+var tierCompile = [numTiers]func(*nfsm.RoundProtocol) (*synchro.Compiled, error){
+	tierSync:     nil,
+	tierAlpha:    synchro.CompileRound,
+	tierTolerant: synchro.CompileRoundTolerant,
+	tierVoted:    synchro.CompileRoundVoted,
+}
+
+// codeSlot is one lazily compiled tier: the synchronizer compilation
+// (nil on the synchronous tier) and the machine code it lowers to.
+type codeSlot struct {
 	once sync.Once
+	m    *synchro.Compiled
 	code *engine.MachineCode
 	err  error
-
-	asyncOnce sync.Once
-	asyncM    *synchro.Compiled
-	asyncCode *engine.MachineCode
-	asyncErr  error
-
-	tolOnce sync.Once
-	tolM    *synchro.Compiled
-	tolCode *engine.MachineCode
-	tolErr  error
-
-	votedOnce sync.Once
-	votedM    *synchro.Compiled
-	votedCode *engine.MachineCode
-	votedErr  error
 }
 
-// codeEntryFor returns the (possibly empty) cache slot for the resolved
-// argument vector.
-func (d *Descriptor) codeEntryFor(args Args) *codeEntry {
+// codeEntry is the cache entry of one resolved argument vector.
+type codeEntry [numTiers]codeSlot
+
+// machineCode returns tier t's compiled machine and code for the
+// resolved argument vector, compiling at most once per distinct vector
+// and tier across the whole process (concurrent first callers block on
+// the same sync.Once).
+func (d *Descriptor) machineCode(args Args, t tier) (*synchro.Compiled, *engine.MachineCode, error) {
 	v, _ := d.codes.LoadOrStore(argsKey(args), &codeEntry{})
-	return v.(*codeEntry)
-}
-
-// machineCode returns the compiled code for the resolved argument
-// vector, compiling at most once per distinct vector across the whole
-// process (concurrent first callers block on the same sync.Once).
-func (d *Descriptor) machineCode(args Args) (*engine.MachineCode, error) {
-	e := d.codeEntryFor(args)
-	e.once.Do(func() {
+	s := &v.(*codeEntry)[t]
+	s.once.Do(func() {
 		m, err := d.Machine(args)
 		if err != nil {
-			e.err = err
+			s.err = err
 			return
 		}
-		e.code = engine.CompileMachine(m)
+		if compile := tierCompile[t]; compile != nil {
+			if s.m, s.err = compile(m); s.err != nil {
+				return
+			}
+			s.code = engine.CompileMachine(s.m)
+			return
+		}
+		s.code = engine.CompileMachine(m)
 	})
-	return e.code, e.err
+	return s.m, s.code, s.err
 }
 
-// asyncMachineCode returns the Theorem 3.1/3.4 synchronizer compilation
-// of the protocol plus its machine code, compiled at most once per
-// distinct argument vector. The returned machine is shared by every
-// run (see the file comment for why that is observationally sound).
-func (d *Descriptor) asyncMachineCode(args Args) (*synchro.Compiled, *engine.MachineCode, error) {
-	e := d.codeEntryFor(args)
-	e.asyncOnce.Do(func() {
-		m, err := d.Machine(args)
-		if err != nil {
-			e.asyncErr = err
-			return
-		}
-		compiled, err := synchro.CompileRound(m)
-		if err != nil {
-			e.asyncErr = err
-			return
-		}
-		e.asyncM = compiled
-		e.asyncCode = engine.CompileMachine(compiled)
-	})
-	return e.asyncM, e.asyncCode, e.asyncErr
-}
-
-// tolerantMachineCode is asyncMachineCode for the loss-tolerant αβ
-// hybrid. It occupies its own cache slot: a protocol compiled tolerant
-// and plain must never share machines — their state spaces differ (the
-// tolerant descriptors carry re-pulse bookkeeping) and sharing would
-// silently swap one semantics for the other.
-func (d *Descriptor) tolerantMachineCode(args Args) (*synchro.Compiled, *engine.MachineCode, error) {
-	e := d.codeEntryFor(args)
-	e.tolOnce.Do(func() {
-		m, err := d.Machine(args)
-		if err != nil {
-			e.tolErr = err
-			return
-		}
-		compiled, err := synchro.CompileRoundTolerant(m)
-		if err != nil {
-			e.tolErr = err
-			return
-		}
-		e.tolM = compiled
-		e.tolCode = engine.CompileMachine(compiled)
-	})
-	return e.tolM, e.tolCode, e.tolErr
-}
-
-// votedMachineCode is asyncMachineCode for the voted tier. Its own
-// cache slot for the same reason the tolerant tier has one — and
-// although the voted machine is the tolerant state machine verbatim,
-// sharing the tolerant slot would share interning order between runs
-// that must stay independently reproducible.
-func (d *Descriptor) votedMachineCode(args Args) (*synchro.Compiled, *engine.MachineCode, error) {
-	e := d.codeEntryFor(args)
-	e.votedOnce.Do(func() {
-		m, err := d.Machine(args)
-		if err != nil {
-			e.votedErr = err
-			return
-		}
-		compiled, err := synchro.CompileRoundVoted(m)
-		if err != nil {
-			e.votedErr = err
-			return
-		}
-		e.votedM = compiled
-		e.votedCode = engine.CompileMachine(compiled)
-	})
-	return e.votedM, e.votedCode, e.votedErr
+// progSlot is one tier's machine code bound to a Bound's graph.
+type progSlot struct {
+	once sync.Once
+	prog *engine.Program
+	m    *synchro.Compiled
+	err  error
 }
 
 // Bound is a protocol bound to one graph: arguments resolved (including
 // graph-derived ones), capabilities checked, and — for engine-hosted
 // protocols — the compiled machine code bound to the graph's CSR
-// layout. The sync program is built lazily on the first RunSync (an
-// async-only caller never pays the compile or the O(n+m) bind) and then
-// shared: a Bound is safe for concurrent runs, so a campaign cell binds
-// once and its trials share it.
+// layout. Each tier's program is built lazily on its first run (an
+// async-only caller never pays the sync compile or its O(n+m) bind) and
+// then shared: a Bound is safe for concurrent runs, so a campaign cell
+// binds once and its trials share it.
 type Bound struct {
-	d    *Descriptor
-	g    *graph.Graph
-	args Args
-
-	progOnce sync.Once
-	prog     *engine.Program // nil for bespoke engines
-	progErr  error
-
-	asyncOnce sync.Once
-	asyncProg *engine.Program
-	asyncM    *synchro.Compiled
-	asyncErr  error
-
-	tolOnce sync.Once
-	tolProg *engine.Program
-	tolM    *synchro.Compiled
-	tolErr  error
-
-	votedOnce sync.Once
-	votedProg *engine.Program
-	votedM    *synchro.Compiled
-	votedErr  error
+	d     *Descriptor
+	g     *graph.Graph
+	args  Args
+	progs [numTiers]progSlot
 }
 
 // Scratch is a reusable per-worker execution arena threaded down to the
@@ -359,18 +297,20 @@ func (d *Descriptor) Bind(g *graph.Graph, args Args) (*Bound, error) {
 	return &Bound{d: d, g: g, args: resolved}, nil
 }
 
-// program lazily binds the descriptor's cached machine code to the
-// graph, once per Bound (concurrent first callers block on the Once).
-func (b *Bound) program() (*engine.Program, error) {
-	b.progOnce.Do(func() {
-		code, err := b.d.machineCode(b.args)
+// program lazily binds the descriptor's cached tier-t machine code to
+// the graph, once per Bound and tier (concurrent first callers block on
+// the Once).
+func (b *Bound) program(t tier) (*engine.Program, *synchro.Compiled, error) {
+	s := &b.progs[t]
+	s.once.Do(func() {
+		m, code, err := b.d.machineCode(b.args, t)
 		if err != nil {
-			b.progErr = err
+			s.err = err
 			return
 		}
-		b.prog = code.Bind(b.g)
+		s.m, s.prog = m, code.Bind(b.g)
 	})
-	return b.prog, b.progErr
+	return s.prog, s.m, s.err
 }
 
 // Descriptor returns the bound protocol's descriptor.
@@ -442,7 +382,7 @@ func (b *Bound) RunSyncReusing(cfg SyncConfig, s *Scratch) (*Run, error) {
 		}
 		return b.d.Solve(b.args, b.g, cfg.Seed, cfg.MaxRounds)
 	}
-	prog, err := b.program()
+	prog, _, err := b.program(tierSync)
 	if err != nil {
 		return nil, err
 	}
@@ -523,53 +463,6 @@ func byzNodes(sc *scenario.Scenario) []int {
 	return out
 }
 
-// asyncProgram lazily binds the descriptor's cached synchronizer
-// compilation to the graph, once per Bound.
-func (b *Bound) asyncProgram() (*engine.Program, *synchro.Compiled, error) {
-	b.asyncOnce.Do(func() {
-		m, code, err := b.d.asyncMachineCode(b.args)
-		if err != nil {
-			b.asyncErr = err
-			return
-		}
-		b.asyncM = m
-		b.asyncProg = code.Bind(b.g)
-	})
-	return b.asyncProg, b.asyncM, b.asyncErr
-}
-
-// tolerantProgram lazily binds the descriptor's cached αβ-hybrid
-// compilation to the graph, once per Bound and independent of the plain
-// synchronizer's slot.
-func (b *Bound) tolerantProgram() (*engine.Program, *synchro.Compiled, error) {
-	b.tolOnce.Do(func() {
-		m, code, err := b.d.tolerantMachineCode(b.args)
-		if err != nil {
-			b.tolErr = err
-			return
-		}
-		b.tolM = m
-		b.tolProg = code.Bind(b.g)
-	})
-	return b.tolProg, b.tolM, b.tolErr
-}
-
-// votedProgram lazily binds the descriptor's cached voted-tier
-// compilation to the graph, once per Bound and independent of the
-// other synchronizers' slots.
-func (b *Bound) votedProgram() (*engine.Program, *synchro.Compiled, error) {
-	b.votedOnce.Do(func() {
-		m, code, err := b.d.votedMachineCode(b.args)
-		if err != nil {
-			b.votedErr = err
-			return
-		}
-		b.votedM = m
-		b.votedProg = code.Bind(b.g)
-	})
-	return b.votedProg, b.votedM, b.votedErr
-}
-
 // RunAsync executes the protocol on the asynchronous engine under the
 // configured adversary, through the descriptor's cached Theorem 3.1/3.4
 // synchronizer compilation (shared across runs; see the file comment).
@@ -587,19 +480,18 @@ func (b *Bound) RunAsyncReusing(cfg AsyncConfig, s *Scratch) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var prog *engine.Program
-	var compiled *synchro.Compiled
+	t := tierAlpha
 	switch cfg.Synchro {
 	case "", SynchroAlpha:
-		prog, compiled, err = b.asyncProgram()
 	case SynchroTolerant:
-		prog, compiled, err = b.tolerantProgram()
+		t = tierTolerant
 	case SynchroVoted:
-		prog, compiled, err = b.votedProgram()
+		t = tierVoted
 	default:
 		return nil, fmt.Errorf("protocol %s: unknown synchronizer %q (want %q, %q or %q)",
 			b.d.Name, cfg.Synchro, SynchroAlpha, SynchroTolerant, SynchroVoted)
 	}
+	prog, compiled, err := b.program(t)
 	if err != nil {
 		return nil, err
 	}
