@@ -36,7 +36,8 @@ test:
 # instead of rotting; it measures nothing. The fuzz lines are time-boxed
 # runs of the two differential walls on fuzz-decoded machines, graphs,
 # scenarios and channels: the one synchronous round loop (every backend,
-# scenario and channel hook) against the synchronous reference engine,
+# the flat kernel's settled-node skip, every scenario and channel hook)
+# against the synchronous reference engine,
 # then the one asynchronous event loop (parking across scenario batches,
 # the synchronizer tiers) against the asynchronous reference engine.
 # stonebench/ is a module of its own, so `go test ./...` never builds

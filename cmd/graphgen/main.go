@@ -65,7 +65,12 @@ func run(args []string, stdout io.Writer) error {
 	case "broom":
 		g = graph.Broom(*n)
 	case "gnp":
-		g = graph.GnpConnected(*n, prob, src)
+		// The streamed builder draws O(n + m) coins, not one per node
+		// pair, so large instances are cheap.
+		var err error
+		if g, err = graph.ToGraph(graph.GnpConnectedStream(*n, prob, *seed)); err != nil {
+			return err
+		}
 	case "bipartite":
 		g = graph.CompleteBipartite(*n/2, *n-*n/2)
 	case "lattice":

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -56,5 +58,27 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatal("same seed produced different graphs")
+	}
+}
+
+// TestGnpFamilyIsStreamed pins the gnp family to the streamed G(n,p)
+// builder for one seed, so a large instance costs O(n + m) draws, not a
+// coin per node pair.
+func TestGnpFamilyIsStreamed(t *testing.T) {
+	const n, seed = 300, 7
+	var buf bytes.Buffer
+	if err := run([]string{"-family", "gnp", "-n", strconv.Itoa(n), "-seed", strconv.Itoa(seed)}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := graph.Decode(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := graph.ToGraph(graph.GnpConnectedStream(n, 4.0/n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+		t.Fatalf("gnp graph (n=%d, m=%d) differs from the streamed builder's (n=%d, m=%d)", got.N(), got.M(), want.N(), want.M())
 	}
 }

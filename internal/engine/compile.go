@@ -55,7 +55,7 @@ type MachineCode struct {
 	initial  nfsm.Letter
 	outMask  []uint64      // progFlat: Q_O membership bitset
 	delta    [][]nfsm.Move // progFlat: δ rows (see progKind)
-	pow      []int32       // progFlat: pow[l] = (b+1)^l
+	pow      []uint64      // runCounts.idx weights: progFlat (b+1)^l, dynPack 1<<(bits·l)
 	pdim     int           // progFlat: (b+1)^|Σ|
 	single   nfsm.SingleQuery
 	parallel bool // compute phase may be sharded across workers
@@ -67,9 +67,10 @@ type MachineCode struct {
 	// 269·4¹² domain is far too large to tabulate but visits only a
 	// few thousand distinct observations per run). Restricted to
 	// RoundProtocols: their state set is fixed and their Transition is
-	// pure by contract.
-	dynPack     bool
-	dynPackBits uint
+	// pure by contract. The key is q<<dynShift | idx[v]: the counts
+	// field is the node's incrementally maintained index.
+	dynPack  bool
+	dynShift uint
 
 	// pack is the lazily built bit-plane lowering (see packed.go). The
 	// sync.Once makes the lazy build safe under the registry's shared
@@ -124,7 +125,8 @@ func CompileMachine(m nfsm.Machine) *MachineCode {
 
 // packable decides whether the dynamic fallback's observations fit a
 // packed uint64 memo key: the state in the high bits, then one
-// fixed-width field per letter holding the clamped count.
+// fixed-width field per letter holding the clamped count, letter 0
+// lowest.
 func (c *MachineCode) packable() {
 	bits := uint(1)
 	for 1<<bits <= c.b {
@@ -136,7 +138,11 @@ func (c *MachineCode) packable() {
 	}
 	if uint(c.nl)*bits+qbits <= 64 {
 		c.dynPack = true
-		c.dynPackBits = bits
+		c.dynShift = uint(c.nl) * bits
+		c.pow = make([]uint64, c.nl)
+		for l := range c.pow {
+			c.pow[l] = 1 << (bits * uint(l))
+		}
 	}
 }
 
@@ -192,9 +198,9 @@ func (c *MachineCode) tabulate() {
 			c.pow = nil
 		}
 	}()
-	pow := make([]int32, nl)
+	pow := make([]uint64, nl)
 	for l := range pow {
-		pow[l] = int32(intPow(w, l))
+		pow[l] = uint64(intPow(w, l))
 	}
 	rows := make([][]nfsm.Move, nq*pdim)
 	counts := make([]nfsm.Count, nl)
@@ -236,7 +242,7 @@ func outputBitset(nq int, isOutput func(nfsm.State) bool) []uint64 {
 // runCounts is the per-run mutable execution state shared by the
 // synchronous and asynchronous executors: the flat port array aligned
 // with the CSR edge order, the per-node raw (unclamped) letter counts,
-// and — for progFlat — the per-node base-(b+1) encoding of the
+// and — on progFlat and dynPack machines — the per-node index of the
 // clamped count vector, all maintained incrementally as ports change.
 type runCounts struct {
 	p *Program
@@ -246,11 +252,13 @@ type runCounts struct {
 	portDat []nfsm.Letter
 	// raw[v*|Σ|+l] counts the ports of v currently holding letter l.
 	raw []int32
-	// idx[v] = Σ_l f_b(raw[v][l])·pow[l] (progFlat only).
-	idx []int32
-	// idxBuf backs idx across resets (idx itself is nil for non-flat
-	// kinds, so the capacity is kept separately).
-	idxBuf []int32
+	// idx[v] = Σ_l f_b(raw[v][l])·pow[l] (progFlat and dynPack only):
+	// the δ-table offset on progFlat, the counts field of the memo key
+	// on dynPack.
+	idx []uint64
+	// idxBuf backs idx across resets (idx itself is nil for the other
+	// machines, so the capacity is kept separately).
+	idxBuf []uint64
 }
 
 // reset (re)initializes the run state against a CSR snapshot, reusing
@@ -264,7 +272,7 @@ func (rc *runCounts) reset(p *Program, csr *graph.CSR) {
 	rc.portDat = grow(rc.portDat, len(csr.NbrDat), p.initial)
 	rc.raw = grow(rc.raw, n*p.nl, 0)
 	rc.idx = nil
-	if p.kind == progFlat {
+	if p.pow != nil {
 		rc.idxBuf = grow(rc.idxBuf, n, 0)
 		rc.idx = rc.idxBuf
 	}
@@ -324,17 +332,13 @@ func (rc *runCounts) resetNode(v int, csr *graph.CSR) {
 	}
 }
 
-// encodeIdx recomputes the base-(b+1) clamped-count encoding of one
-// node's raw count block (progFlat only).
-func (rc *runCounts) encodeIdx(base int) int32 {
+// encodeIdx recomputes the clamped-count index of one node's raw count
+// block (progFlat and dynPack only).
+func (rc *runCounts) encodeIdx(base int) uint64 {
 	p := rc.p
-	var idx int32
+	var idx uint64
 	for l := 0; l < p.nl; l++ {
-		c := rc.raw[base+l]
-		if c > int32(p.b) {
-			c = int32(p.b)
-		}
-		idx += c * p.pow[l]
+		idx += uint64(min(rc.raw[base+l], int32(p.b))) * p.pow[l]
 	}
 	return idx
 }
@@ -716,29 +720,24 @@ func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 	if p.kind == progFlat {
 		return p.delta[int(q)*p.pdim+int(rc.idx[v])]
 	}
-	base := v * p.nl
+	var key uint64
+	memo := false
 	if p.dynPack {
 		ds.mcalls++
-		if ds.mcalls > dynMemoThreshold {
-			key := uint64(q)
-			for l := 0; l < p.nl; l++ {
-				c := rc.raw[base+l]
-				if c > int32(p.b) {
-					c = int32(p.b)
-				}
-				key = key<<p.dynPackBits | uint64(c)
-				ds.cbuf[l] = nfsm.Count(c)
-			}
+		if memo = ds.mcalls > dynMemoThreshold; memo {
+			key = uint64(q)<<p.dynShift | rc.idx[v]
 			if row, ok := ds.mrows.lookup(key); ok {
 				return row
 			}
-			row := p.m.Moves(q, ds.cbuf)
-			ds.mrows.insert(key, row)
-			return row
 		}
 	}
+	base := v * p.nl
 	for l := 0; l < p.nl; l++ {
 		ds.cbuf[l] = nfsm.ClampCount(int(rc.raw[base+l]), p.b)
 	}
-	return p.m.Moves(q, ds.cbuf)
+	row := p.m.Moves(q, ds.cbuf)
+	if memo {
+		ds.mrows.insert(key, row)
+	}
+	return row
 }

@@ -74,20 +74,39 @@ func diffCases(t *testing.T) []diffCase {
 	}
 }
 
+// oneSource is flood's initial vector with node 0 hot and the rest idle.
+func oneSource(n int) []nfsm.State {
+	init := make([]nfsm.State, n)
+	init[0] = 1
+	return init
+}
+
 // TestDifferentialSyncEngines checks byte-identical States, Rounds and
 // Transmissions between the reference engine and the compiled executor
 // across the (protocol, graph, seed, workers) matrix.
 func TestDifferentialSyncEngines(t *testing.T) {
+	type syncCase struct {
+		diffCase
+		init []nfsm.State
+	}
+	var cases []syncCase
 	for _, tc := range diffCases(t) {
+		cases = append(cases, syncCase{diffCase: tc})
+	}
+	// One source at the end of a long path: idle nodes sit settled on a
+	// silent self-loop for up to ~200 rounds, then the wave wakes them
+	// one by one, across every shard boundary.
+	cases = append(cases, syncCase{diffCase{"flood/path-settle", flood(), graph.Path(200)}, oneSource(200)})
+	for _, tc := range cases {
 		for _, seed := range []uint64{1, 42} {
-			ref, err := engine.RunSyncRef(tc.m, tc.g, engine.SyncConfig{Seed: seed})
+			ref, err := engine.RunSyncRef(tc.m, tc.g, engine.SyncConfig{Seed: seed, Init: tc.init})
 			if err != nil {
 				t.Fatalf("%s seed=%d: reference engine: %v", tc.name, seed, err)
 			}
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/seed=%d/workers=%d", tc.name, seed, workers)
 				t.Run(name, func(t *testing.T) {
-					got, err := engine.Compile(tc.m, tc.g).RunSync(engine.SyncConfig{Seed: seed, Workers: workers})
+					got, err := engine.Compile(tc.m, tc.g).RunSync(engine.SyncConfig{Seed: seed, Workers: workers, Init: tc.init})
 					if err != nil {
 						t.Fatal(err)
 					}

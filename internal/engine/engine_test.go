@@ -110,6 +110,15 @@ func TestSyncNoConvergence(t *testing.T) {
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
+	// With the default round budget: every node settles on its silent
+	// self-loop after round 1, so the frozen configuration must fail
+	// with the same error, sharded or not.
+	for _, workers := range []int{1, 4} {
+		_, err := RunSync(waveProtocol(), g, SyncConfig{Seed: 1, Workers: workers})
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("workers=%d: err = %v, want ErrNoConvergence", workers, err)
+		}
+	}
 }
 
 func TestSyncInitValidation(t *testing.T) {

@@ -9,3 +9,20 @@ import "unsafe"
 func DynMemoBytes(s *Scratch) int {
 	return int(unsafe.Sizeof(uint64(0)))*cap(s.dss[0].recs) + int(unsafe.Sizeof(s.dss[0].side))*cap(s.dss[0].side)
 }
+
+// StaleIdx returns the first node whose incrementally maintained
+// observation index (runCounts.idx) differs from a from-scratch
+// encoding of its counts, or -1 when every index is current.
+func StaleIdx(s *Scratch) int {
+	rc := &s.rc
+	for v := range rc.idx {
+		if rc.idx[v] != rc.encodeIdx(v*rc.p.nl) {
+			return v
+		}
+	}
+	return -1
+}
+
+// KeepsIdx reports whether runs of the machine maintain the per-node
+// observation index, and whether it is a dynPack machine's memo key.
+func KeepsIdx(c *MachineCode) (keeps, dynPack bool) { return c.pow != nil, c.dynPack }

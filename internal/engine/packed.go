@@ -357,11 +357,11 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 			for j := 0; j < wQ; j++ {
 				q |= int(ps.stP[j][w]>>i&1) << j
 			}
-			idx := int32(0)
+			idx := uint64(0)
 			for l := 0; l < nl; l++ {
-				cc := int32(c0[l] >> i & 1)
+				cc := c0[l] >> i & 1
 				if b >= 2 {
-					cc |= int32(c1[l]>>i&1) << 1
+					cc |= (c1[l] >> i & 1) << 1
 				}
 				idx += cc * p.pow[l]
 			}

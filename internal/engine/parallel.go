@@ -89,6 +89,9 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 		if cfg.Channel != nil {
 			fk.ch = &scr.ch
 			fk.ch.reset(cfg.Channel, res)
+		} else if sc == nil {
+			scr.settled = grow(scr.settled, n, false)
+			fk.settled = scr.settled
 		}
 		k = fk
 	}
@@ -316,7 +319,7 @@ func routeBuckets[W any](buckets [][][]W, w int) [][][]W {
 
 // flatKernel is the word-per-node backend over runCounts' ports and
 // incremental counts. Its scenario and channel hooks (dyn, ch) are nil
-// on static reliable runs.
+// on static reliable runs, and only those runs settle nodes.
 type flatKernel struct {
 	p      *Program
 	rc     *runCounts
@@ -324,7 +327,14 @@ type flatKernel struct {
 	states []nfsm.State
 	emits  []nfsm.Letter
 	seed   uint64
-	dss    []dynScratch // per-worker dynamic-path scratch (counts + δ-row memos)
+	// settled[v] marks a node whose last step took a lone silent
+	// self-loop: until a delivery changes one of its ports it would take
+	// the same step again, which changes nothing, so compute skips it
+	// (nil on scenario and channel runs). A []bool rather than a bitset:
+	// flat shards split at arbitrary nodes, and two shards clearing bits
+	// of one word would race.
+	settled []bool
+	dss     []dynScratch // per-worker dynamic-path scratch (counts + δ-row memos)
 	// emitters[w] lists worker w's transmitters this round: deliver walks
 	// only their edges (most rounds of a converging protocol are quiet).
 	emitters [][]int32
@@ -353,18 +363,27 @@ func (e *flatKernel) shard(scr *Scratch, pool *shardPool) {
 
 func (e *flatKernel) decode([]nfsm.State) {}
 
-// compute applies δ to every node of [lo, hi) against its frozen
-// counts, drawing its move from the node-indexed coin. Writes touch only
-// states[v], emits[v] and the worker's own emitter list, so shards never
-// conflict. Tabulated machines run without a function call per node;
-// dynamic-fallback machines and every scenario run take the generic
-// path.
+// compute applies δ to every unsettled node of [lo, hi) against its
+// frozen counts, drawing its move from the node-indexed coin. Writes
+// touch only states[v], emits[v], settled[v] and the worker's own
+// emitter list, so shards never conflict. A row that is one silent
+// self-loop settles its node: PickMove draws no coin on it, and the
+// node would take it again every round until its ports change. A shard
+// that evaluates no node reports frozen. Tabulated machines run without
+// a function call per node; dynamic-fallback machines and every
+// scenario run take the generic path.
 func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 	p := e.p
 	states, emits, seed := e.states, e.emits, e.seed
 	mask := p.outMask
+	settled := e.settled
+	settle := settled != nil
+	live := false
 	emitters := e.emitters[worker][:0]
-	defer func() { e.emitters[worker] = emitters }()
+	defer func() {
+		e.emitters[worker] = emitters
+		r.frozen = settle && !live
+	}()
 
 	kind := p.kind
 	if e.dyn != nil {
@@ -374,6 +393,10 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 	case progFlat:
 		delta, pdim, idx := p.delta, p.pdim, e.rc.idx
 		for v := lo; v < hi; v++ {
+			if settle && settled[v] {
+				continue
+			}
+			live = true
 			q := states[v]
 			moves := delta[int(q)*pdim+int(idx[v])]
 			if len(moves) == 0 {
@@ -384,6 +407,8 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 			if mv.Next != q {
 				r.outDelta += int(mask[mv.Next>>6]>>(uint(mv.Next)&63)&1) - int(mask[q>>6]>>(uint(q)&63)&1)
 				states[v] = mv.Next
+			} else if settle && len(moves) == 1 && mv.Emit == nfsm.NoLetter {
+				settled[v] = true
 			}
 			if mv.Emit != nfsm.NoLetter {
 				emits[v] = mv.Emit
@@ -398,6 +423,10 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 		// like any other and counts as a transmission.
 		ds, d := &e.dss[worker], e.dyn
 		for v := lo; v < hi; v++ {
+			if settle && settled[v] {
+				continue
+			}
+			live = true
 			q := states[v]
 			var mv nfsm.Move
 			if d != nil && !d.honest(v) {
@@ -412,6 +441,9 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 					return r
 				}
 				r.outDelta += dout
+				if settle && size == 1 && mv.Next == q && mv.Emit == nfsm.NoLetter {
+					settled[v] = true
+				}
 			}
 			states[v] = mv.Next
 			if mv.Emit != nfsm.NoLetter {
@@ -450,7 +482,8 @@ func deltaEmptyErr(v int, q nfsm.State, round int) error {
 
 // deliver is the sequential deliver phase: runCounts.setPort unrolled
 // over every emitter's edges with its indirections hoisted — the
-// hottest loop of the engine. A channel run takes deliverChannel.
+// hottest loop of the engine. A changed port wakes its settled node. A
+// channel run takes deliverChannel.
 func (e *flatKernel) deliver(round int) {
 	if e.ch != nil {
 		e.deliverChannel(round)
@@ -458,7 +491,7 @@ func (e *flatKernel) deliver(round int) {
 	}
 	rc := e.rc
 	off, nbr, rev := e.csr.NbrOff, e.csr.NbrDat, e.csr.RevPort
-	portDat, raw, idx, pow := rc.portDat, rc.raw, rc.idx, e.p.pow
+	portDat, raw, idx, pow, settled := rc.portDat, rc.raw, rc.idx, e.p.pow, e.settled
 	nl, b := e.p.nl, int32(e.p.b)
 	for _, lst := range e.emitters {
 		for _, v := range lst {
@@ -471,6 +504,9 @@ func (e *flatKernel) deliver(round int) {
 					continue
 				}
 				portDat[dst] = l
+				if settled != nil {
+					settled[u] = false
+				}
 				base := int(u) * nl
 				io, in := base+int(old), base+int(l)
 				raw[io]--
@@ -494,7 +530,7 @@ func (e *flatKernel) deliver(round int) {
 // identical for every worker count.
 func (e *flatKernel) deliverShard(shard int) {
 	rc := e.rc
-	portDat, raw, idx, pow := rc.portDat, rc.raw, rc.idx, e.p.pow
+	portDat, raw, idx, pow, settled := rc.portDat, rc.raw, rc.idx, e.p.pow, e.settled
 	nl, b := e.p.nl, int32(e.p.b)
 	for w := range e.buckets {
 		for _, d := range e.buckets[w][shard] {
@@ -504,6 +540,7 @@ func (e *flatKernel) deliverShard(shard int) {
 				continue
 			}
 			portDat[d.slot] = l
+			settled[d.u] = false
 			base := int(d.u) * nl
 			io, in := base+int(old), base+int(l)
 			raw[io]--

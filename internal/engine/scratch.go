@@ -29,8 +29,10 @@ type Scratch struct {
 	pk *packedScratch
 
 	// The synchronous round: the shard pool and the flat kernel's
-	// emission buffer, per-worker buffers and channel hook.
+	// emission buffer, settled flags, per-worker buffers and channel
+	// hook.
 	emits    []nfsm.Letter
+	settled  []bool
 	pool     shardPool
 	emitters [][]int32
 	dss      []dynScratch
