@@ -93,10 +93,15 @@ func TestDifferentialSyncEngines(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		cases = append(cases, syncCase{diffCase: tc})
 	}
-	// One source at the end of a long path: idle nodes sit settled on a
-	// silent self-loop for up to ~200 rounds, then the wave wakes them
-	// one by one, across every shard boundary.
-	cases = append(cases, syncCase{diffCase{"flood/path-settle", flood(), graph.Path(200)}, oneSource(200)})
+	// One source at the end of a long path, on the dynamic fallback
+	// (the flat kernel's branch that settles nodes): idle nodes sit
+	// settled on a silent self-loop for up to ~200 rounds, then the wave
+	// wakes them one by one, across every shard boundary.
+	dynFlood := engine.DynamicFallback(flood())
+	if keeps, dynPack := engine.KeepsIdx(engine.CompileMachine(dynFlood)); !keeps || !dynPack {
+		t.Fatalf("%s: (keeps idx, dynPack) = (%v, %v), want the dynPack fallback", dynFlood.Name, keeps, dynPack)
+	}
+	cases = append(cases, syncCase{diffCase{"flood-dynamic/path-settle", dynFlood, graph.Path(200)}, oneSource(200)})
 	for _, tc := range cases {
 		for _, seed := range []uint64{1, 42} {
 			ref, err := engine.RunSyncRef(tc.m, tc.g, engine.SyncConfig{Seed: seed, Init: tc.init})

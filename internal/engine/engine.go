@@ -31,6 +31,16 @@ import (
 // budget before reaching an output configuration.
 var ErrNoConvergence = errors.New("engine: no output configuration within budget")
 
+// noConvergence is the error of a sync run that reached no output
+// configuration within its budget of maxRounds rounds. It names the
+// budget, not the rounds run: a compiled run whose configuration froze
+// stops early, but a frozen configuration stays non-terminal for the
+// rest of the budget, so the outcome, and the message the differential
+// walls compare byte for byte with RunSyncRef's, is the same either way.
+func noConvergence(m nfsm.Machine, maxRounds int) error {
+	return fmt.Errorf("%w of %d rounds: %s", ErrNoConvergence, maxRounds, machineName(m))
+}
+
 // initialStates resolves the per-node initial state vector: a copy of init
 // when provided, otherwise the machine's default input state everywhere.
 func initialStates(m nfsm.Machine, n int, init []nfsm.State) ([]nfsm.State, error) {

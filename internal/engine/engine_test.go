@@ -110,13 +110,15 @@ func TestSyncNoConvergence(t *testing.T) {
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("err = %v, want ErrNoConvergence", err)
 	}
-	// With the default round budget: every node settles on its silent
-	// self-loop after round 1, so the frozen configuration must fail
-	// with the same error, sharded or not.
+	// With the default round budget on the dynamic fallback: every node
+	// settles on its silent self-loop in round 1, so the frozen
+	// configuration must fail fast with the error a full budget gives,
+	// sharded or not.
 	for _, workers := range []int{1, 4} {
-		_, err := RunSync(waveProtocol(), g, SyncConfig{Seed: 1, Workers: workers})
-		if !errors.Is(err, ErrNoConvergence) {
-			t.Fatalf("workers=%d: err = %v, want ErrNoConvergence", workers, err)
+		_, err := RunSync(DynamicFallback(waveProtocol()), g, SyncConfig{Seed: 1, Workers: workers})
+		want := "engine: no output configuration within budget of 1048576 rounds: wave-dynamic"
+		if !errors.Is(err, ErrNoConvergence) || err.Error() != want {
+			t.Fatalf("workers=%d: err = %v, want %q", workers, err, want)
 		}
 	}
 }

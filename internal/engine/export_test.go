@@ -1,6 +1,11 @@
 package engine
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+
+	"stoneage/internal/nfsm"
+)
 
 // DynMemoBytes reports the bytes worker 0's dynamic memo holds — the
 // memo the asynchronous loop and the synchronous output tally use: the
@@ -26,3 +31,29 @@ func StaleIdx(s *Scratch) int {
 // KeepsIdx reports whether runs of the machine maintain the per-node
 // observation index, and whether it is a dynPack machine's memo key.
 func KeepsIdx(c *MachineCode) (keeps, dynPack bool) { return c.pow != nil, c.dynPack }
+
+// DynamicFallback lifts a single-query protocol into the equivalent
+// multi-letter RoundProtocol plus one letter no node sends. Its δ
+// panics on a count vector that observes that letter, so tabulation
+// gives up and the machine lowers to the sharded dynamic fallback with
+// a dynPack memo key: the flat kernel's branch that settles nodes. Only
+// static reliable runs are safe: a Byzantine node or a corrupting
+// channel may send the extra letter.
+func DynamicFallback(p *nfsm.Protocol) *nfsm.RoundProtocol {
+	unsent := nfsm.Letter(len(p.LetterNames))
+	return &nfsm.RoundProtocol{
+		Name:        p.Name + "-dynamic",
+		StateNames:  p.StateNames,
+		LetterNames: append(slices.Clone(p.LetterNames), "unsent"),
+		Input:       p.Input,
+		Output:      p.Output,
+		Initial:     p.Initial,
+		B:           p.B,
+		Transition: func(q nfsm.State, counts []nfsm.Count) []nfsm.Move {
+			if counts[unsent] != 0 {
+				panic("engine: DynamicFallback observed its unsent letter")
+			}
+			return p.Moves(q, counts)
+		},
+	}
+}

@@ -298,31 +298,45 @@ func FuzzDifferentialSync(f *testing.F) {
 
 		ref, refErr := engine.RunSyncRef(m, g, engine.SyncConfig{Seed: seed, MaxRounds: maxRounds, Scenario: sc, Channel: model})
 
-		// Packed arm: on static reliable runs of packed-eligible
-		// machines, the bit-plane backend must match the reference too
-		// (it refuses scenarios and channels by design, so those inputs
-		// only exercise the flat arm below).
-		code := engine.CompileMachine(m)
-		if code.PackedEligible() && sc.Empty() && model == nil && len(sc.Byzantine) == 0 {
+		// Static reliable runs also take two more arms against a
+		// reference: the bit-plane backend on packed-eligible machines
+		// (it refuses scenarios and channels by design), and the
+		// protocol lifted onto the dynamic fallback, the flat kernel's
+		// branch that settles nodes (its extra letter is safe only where
+		// no Byzantine node or channel can send it).
+		static := sc.Empty() && model == nil && len(sc.Byzantine) == 0
+		sameStatic := func(arm string, ref *engine.SyncResult, refErr error, run func(workers int) (*engine.SyncResult, error)) {
 			for _, workers := range []int{1, 3} {
-				got, gotErr := code.Bind(g).RunSync(engine.SyncConfig{Seed: seed, MaxRounds: maxRounds, Workers: workers, Backend: engine.BackendPacked})
+				got, gotErr := run(workers)
 				if refErr != nil || gotErr != nil {
 					if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
-						t.Fatalf("packed workers=%d error mismatch:\nreference: %v\npacked:    %v", workers, refErr, gotErr)
+						t.Fatalf("%s workers=%d error mismatch:\nreference: %v\n%s: %v", arm, workers, refErr, arm, gotErr)
 					}
 					continue
 				}
 				if got.Rounds != ref.Rounds || got.Transmissions != ref.Transmissions {
-					t.Fatalf("packed workers=%d: (rounds, tx) = (%d, %d), reference (%d, %d)",
-						workers, got.Rounds, got.Transmissions, ref.Rounds, ref.Transmissions)
+					t.Fatalf("%s workers=%d: (rounds, tx) = (%d, %d), reference (%d, %d)",
+						arm, workers, got.Rounds, got.Transmissions, ref.Rounds, ref.Transmissions)
 				}
 				for v := range ref.States {
 					if got.States[v] != ref.States[v] {
-						t.Fatalf("packed workers=%d: state of node %d = %d, reference %d",
-							workers, v, got.States[v], ref.States[v])
+						t.Fatalf("%s workers=%d: state of node %d = %d, reference %d",
+							arm, workers, v, got.States[v], ref.States[v])
 					}
 				}
 			}
+		}
+		if code := engine.CompileMachine(m); static && code.PackedEligible() {
+			sameStatic("packed", ref, refErr, func(workers int) (*engine.SyncResult, error) {
+				return code.Bind(g).RunSync(engine.SyncConfig{Seed: seed, MaxRounds: maxRounds, Workers: workers, Backend: engine.BackendPacked})
+			})
+		}
+		if static {
+			dm := engine.DynamicFallback(m)
+			dref, drefErr := engine.RunSyncRef(dm, g, engine.SyncConfig{Seed: seed, MaxRounds: maxRounds})
+			sameStatic("dynamic", dref, drefErr, func(workers int) (*engine.SyncResult, error) {
+				return engine.Compile(dm, g).RunSync(engine.SyncConfig{Seed: seed, MaxRounds: maxRounds, Workers: workers})
+			})
 		}
 
 		for _, workers := range []int{1, 3} {

@@ -83,7 +83,7 @@ func buildPackedCode(c *MachineCode) *packedCode {
 	pc.settled = make([]uint64, (len(c.delta)+63)/64)
 	for e, row := range c.delta {
 		q := nfsm.State(e / c.pdim)
-		if len(row) == 1 && row[0].Emit == nfsm.NoLetter && row[0].Next == q {
+		if len(row) > 0 && settles(q, row[0], len(row)) {
 			pc.settled[e>>6] |= 1 << (uint(e) & 63)
 		}
 	}

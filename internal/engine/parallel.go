@@ -89,7 +89,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 		if cfg.Channel != nil {
 			fk.ch = &scr.ch
 			fk.ch.reset(cfg.Channel, res)
-		} else if sc == nil {
+		} else if sc == nil && p.kind == progDynamic {
 			scr.settled = grow(scr.settled, n, false)
 			fk.settled = scr.settled
 		}
@@ -158,7 +158,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 			break
 		}
 	}
-	return nil, fmt.Errorf("%w: %s after %d rounds", ErrNoConvergence, machineName(p.m), maxRounds)
+	return nil, noConvergence(p.m, maxRounds)
 }
 
 // packedBackend resolves SyncConfig.Backend to whether the run takes
@@ -319,7 +319,8 @@ func routeBuckets[W any](buckets [][][]W, w int) [][][]W {
 
 // flatKernel is the word-per-node backend over runCounts' ports and
 // incremental counts. Its scenario and channel hooks (dyn, ch) are nil
-// on static reliable runs, and only those runs settle nodes.
+// on static reliable runs, and only those runs of dynamic-fallback
+// machines settle nodes.
 type flatKernel struct {
 	p      *Program
 	rc     *runCounts
@@ -327,12 +328,14 @@ type flatKernel struct {
 	states []nfsm.State
 	emits  []nfsm.Letter
 	seed   uint64
-	// settled[v] marks a node whose last step took a lone silent
-	// self-loop: until a delivery changes one of its ports it would take
-	// the same step again, which changes nothing, so compute skips it
-	// (nil on scenario and channel runs). A []bool rather than a bitset:
-	// flat shards split at arbitrary nodes, and two shards clearing bits
-	// of one word would race.
+	// settled[v] marks a node whose last step settled it (see settles):
+	// until a delivery changes one of its ports it would take the same
+	// step again, which changes nothing, so compute skips it. Only the
+	// dynamic branch, whose step is a memo lookup behind a function
+	// call, settles nodes; nil on progFlat machines and on scenario and
+	// channel runs. A []bool rather than a bitset: flat shards split at
+	// arbitrary nodes, and two shards clearing bits of one word would
+	// race.
 	settled []bool
 	dss     []dynScratch // per-worker dynamic-path scratch (counts + δ-row memos)
 	// emitters[w] lists worker w's transmitters this round: deliver walks
@@ -366,12 +369,10 @@ func (e *flatKernel) decode([]nfsm.State) {}
 // compute applies δ to every unsettled node of [lo, hi) against its
 // frozen counts, drawing its move from the node-indexed coin. Writes
 // touch only states[v], emits[v], settled[v] and the worker's own
-// emitter list, so shards never conflict. A row that is one silent
-// self-loop settles its node: PickMove draws no coin on it, and the
-// node would take it again every round until its ports change. A shard
-// that evaluates no node reports frozen. Tabulated machines run without
-// a function call per node; dynamic-fallback machines and every
-// scenario run take the generic path.
+// emitter list, so shards never conflict. A shard that evaluates no
+// node reports frozen. Tabulated machines run without a function call
+// per node; dynamic-fallback machines and every scenario run take the
+// generic path, the only one that settles nodes.
 func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 	p := e.p
 	states, emits, seed := e.states, e.emits, e.seed
@@ -393,10 +394,6 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 	case progFlat:
 		delta, pdim, idx := p.delta, p.pdim, e.rc.idx
 		for v := lo; v < hi; v++ {
-			if settle && settled[v] {
-				continue
-			}
-			live = true
 			q := states[v]
 			moves := delta[int(q)*pdim+int(idx[v])]
 			if len(moves) == 0 {
@@ -407,8 +404,6 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 			if mv.Next != q {
 				r.outDelta += int(mask[mv.Next>>6]>>(uint(mv.Next)&63)&1) - int(mask[q>>6]>>(uint(q)&63)&1)
 				states[v] = mv.Next
-			} else if settle && len(moves) == 1 && mv.Emit == nfsm.NoLetter {
-				settled[v] = true
 			}
 			if mv.Emit != nfsm.NoLetter {
 				emits[v] = mv.Emit
@@ -441,7 +436,7 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 					return r
 				}
 				r.outDelta += dout
-				if settle && size == 1 && mv.Next == q && mv.Emit == nfsm.NoLetter {
+				if settle && settles(q, mv, size) {
 					settled[v] = true
 				}
 			}
@@ -524,6 +519,16 @@ func (e *flatKernel) deliver(round int) {
 	}
 }
 
+// settles reports whether a step from state q that took mv out of a δ
+// row of `moves` moves settles its node: a lone silent self-loop.
+// PickMove draws no coin on a one-move row, so the node would take the
+// same step every round until one of its ports changes. The packed
+// kernel's stability bitset and the flat kernel's settled flags both
+// apply this rule.
+func settles(q nfsm.State, mv nfsm.Move, moves int) bool {
+	return moves == 1 && mv.Next == q && mv.Emit == nfsm.NoLetter
+}
+
 // deliverShard applies exactly the port writes routed to the shard.
 // Ports are owned by their destination node and written at most once
 // per round, and the count updates commute, so the post-round state is
@@ -540,7 +545,9 @@ func (e *flatKernel) deliverShard(shard int) {
 				continue
 			}
 			portDat[d.slot] = l
-			settled[d.u] = false
+			if settled != nil {
+				settled[d.u] = false
+			}
 			base := int(d.u) * nl
 			io, in := base+int(old), base+int(l)
 			raw[io]--

@@ -270,5 +270,5 @@ func RunSyncRef(m nfsm.Machine, g0 *graph.Graph, cfg SyncConfig) (*SyncResult, e
 			return res, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s after %d rounds", ErrNoConvergence, machineName(m), maxRounds)
+	return nil, noConvergence(m, maxRounds)
 }
