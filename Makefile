@@ -38,8 +38,9 @@ test:
 # scenarios and channels: the one synchronous round loop (every backend,
 # the flat kernel's settled-node skip, every scenario and channel hook)
 # against the synchronous reference engine,
-# then the one asynchronous event loop (parking across scenario batches,
-# the synchronizer tiers) against the asynchronous reference engine.
+# then the one asynchronous event loop (parking across scenario batches
+# and in channel and voted runs, the synchronizer tiers) against the
+# asynchronous reference engine.
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.

@@ -95,7 +95,10 @@ type Stats struct {
 // — from's step-t send toward to, copy index within the expansion so
 // far — and nl is the protocol's alphabet size; every random decision
 // must be a pure function of (model, coordinates), mirroring the
-// obliviousness contract of engine.Adversary.
+// obliviousness contract of engine.Adversary. An extra delay a policy
+// adds must be 0 or carry fresh random mantissa entropy (as Reorder's
+// 53-bit draw does): the asynchronous executor's parking relies on a
+// delivery never landing at the exact time of a step (engine.TieFree).
 type Model interface {
 	Apply(from, step, to, copy int, f Fate, nl int, out []Fate, st *Stats) []Fate
 	// Reorders reports whether Apply may return non-zero Extra delays.

@@ -23,7 +23,10 @@ type Adversary interface {
 //   - every delivery delay carries independent random mantissa entropy
 //     (values of the form k/2⁵³ with k drawn from the full 53-bit
 //     range), so a delivery almost surely never shares its exact
-//     float64 time with any step; and
+//     float64 time with any step — a channel model's extra delay is 0
+//     or fresh entropy too (channel.Model), and duplicate copies
+//     sharing a time tie only one another, in the same push order in
+//     both engines; and
 //   - every node's step length is either fresh-entropy per step (its
 //     step times then almost surely never tie anything) or constant
 //     for that node, with distinct constants distinguishable in the

@@ -118,18 +118,17 @@ type AsyncConfig struct {
 	// unreliable-link model: each per-neighbor copy is expanded through
 	// the model into zero or more delivered fates (dropped, duplicated,
 	// extra-delayed, corrupted — see package channel). A reordering
-	// model voids the per-edge FIFO guarantee, and any model turns off
-	// the parking fast path; a nil Channel is the unchanged
-	// zero-overhead reliable path.
+	// model voids the per-edge FIFO guarantee; parking stays on. A nil
+	// Channel is the unchanged zero-overhead reliable path.
 	Channel channel.Model
 	// Voted, when non-nil, selects the voted synchronizer tier's
 	// engine contract (see voted.go): burst transmissions decoded by a
 	// K-of-(2K−1) receipt vote, dead-edge eviction, and per-edge
 	// re-pulse backoff. The machine should be a synchro.CompileVoted
 	// compilation (the αβ state machine with the voted contract);
-	// voted runs disable the parking fast path and reject scenarios
-	// with topological mutations. Nil runs the plain
-	// or αβ contract unchanged.
+	// voted runs park like any other (only a committing receipt
+	// unparks its receiver) and reject scenarios with topological
+	// mutations. Nil runs the plain or αβ contract unchanged.
 	Voted *VotedConfig
 }
 
@@ -306,6 +305,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 	lq := &as.lq
 	lq.reset()
+	as.stepped = 0
 
 	// Scenario state, zero on static runs: g is the evolving topology
 	// (cur is its CSR snapshot), live tracks who is awake, byz maps each
@@ -341,9 +341,13 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// Voted tier: the decoder state is per directed-edge slot, and the
 	// eviction sentinel would be mis-rebuilt by a re-bind, so topological
 	// scenarios are rejected up front. Voting decouples deliveries from
-	// port writes (a receipt may commit nothing, or commit a letter other
-	// than its own), which the parking replay assumes away, so voted runs
-	// materialize every step.
+	// port writes: a receipt may commit nothing, or commit a letter other
+	// than its own. Parking keys on the commit alone (see the delivery
+	// branch): only a committing receipt writes a port, so only it
+	// replays and re-decides a parked receiver's chain. The rest of the
+	// voted state — stall counters, backoff gates, eviction — is read
+	// and written only at the node's own emitting steps, which are
+	// always real events.
 	var vs *votedState
 	if cfg.Voted != nil {
 		if bySender {
@@ -356,15 +360,19 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// delivery (see TieFree); observers must see every step
 	// materialized, and the step tie key reserves 20 bits for the origin
 	// rank, so runs with more chain origins run fully materialized.
-	// Channel models multiply and drop deliveries, which the
-	// silent-chain walk cannot anticipate, so channel runs also
-	// materialize every step.
+	// A channel model keeps the silent-chain walk exact: its decisions
+	// are pure functions of (sender, step, receiver, copy) taken only at
+	// emitting steps, which are real events; a drop, duplicate or
+	// reorder only removes or adds deliveries, and every delivery that
+	// writes a port unparks its receiver first; and a reorder's Extra
+	// carries fresh entropy (channel.Model), so deliveries still never
+	// tie a step.
 	initRank, ranks := int32(0), n
 	if sc != nil {
 		as.batchRank = grow(as.batchRank, len(batches), 0)
 		initRank, ranks = originRanks(batches, n, as.batchRank)
 	}
-	canPark := cfg.Observer == nil && model == nil && ranks < 1<<20 && vs == nil
+	canPark := cfg.Observer == nil && ranks < 1<<20
 	if tf, ok := adv.(TieFree); !ok || !tf.TieFreeTimes() {
 		canPark = false
 	}
@@ -384,6 +392,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		as.virtIndex = grow(as.virtIndex, n, 0)
 		as.virtLen = grow(as.virtLen, n, 0)
 		as.pendingReal = grow(as.pendingReal, n, false)
+		as.walked = grow(as.walked, n, walkedChain{})
 		if cap(as.walkCap) < n {
 			as.walkCap = make([]int32, n)
 		}
@@ -482,8 +491,18 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		mp := maxParam
 		last := lastStepAt[v]
 		cs := states[v]
+		if w := &as.walked[v]; w.idx > vi && w.last < until && steps+int64(w.idx-vi) < maxSteps {
+			// The rest of the walked chain lies before the horizon and
+			// within the budget: land on its end as the walk derived it.
+			steps += int64(w.idx - vi)
+			last = w.last
+			if w.maxLen > mp {
+				mp = w.maxLen
+			}
+			vt, vi, lastL, cs = w.at, w.idx, w.len, w.q
+		}
 		for vt < until || (vt == until && stepKey(lastL, rank[v]) < tieKey) {
-			nx, kind := rc.silentNext(v, cs, ds)
+			nx, kind := rc.silentNext(v, cs, ds, true)
 			if kind == rowSilentSelf && vt < until {
 				// Self-loop: spin to the horizon in one tight loop.
 				buf := as.stepBuf[:]
@@ -590,13 +609,12 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		}
 		cs := q
 		chainCap := int(as.walkCap[v])
+		last, maxLen := 0.0, 0.0
 		for hop := 0; ; hop++ {
-			nx, kind := rc.silentNext(v, cs, ds)
+			nx, kind := rc.silentNext(v, cs, ds, false)
 			if kind == rowSilentSelf {
 				// Spins until a delivery changes what it observes.
-				parked[v] = true
-				parkedCount++
-				return
+				break
 			}
 			l := 0.0
 			if kind == rowSilentHop && hop < chainCap {
@@ -616,20 +634,27 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				// before it.
 				lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
 				pendingReal[v] = true
-				if ti > as.virtIndex[v] {
-					// Steps were virtualized ahead of the event. The
+				if ti == as.virtIndex[v] {
+					// No step was virtualized ahead of the event. The
 					// state alone cannot tell (a silent cycle returns
 					// to its start state), so compare the step index.
-					parked[v] = true
-					parkedCount++
+					return
 				}
-				return
+				break
+			}
+			last = tt
+			if l > maxLen {
+				maxLen = l
 			}
 			cs = nx
 			tt += l
 			ti++
 			l0 = l
 		}
+		// Park, recording where the walked chain ends for replay.
+		parked[v] = true
+		parkedCount++
+		as.walked[v] = walkedChain{q: cs, idx: ti, at: tt, len: l0, last: last, maxLen: maxLen}
 	}
 
 	// scheduleNext draws the length of node v's next step and schedules
@@ -852,33 +877,33 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 					continue
 				}
 			}
+			letter := nfsm.Letter(e.letter)
+			if vs != nil {
+				// Voted decoding: the receipt enters the port's vote
+				// window; only a winning letter touches the port, and a
+				// confirming winner touches nothing at all. A receipt
+				// that commits nothing reads only the port, which no
+				// skipped step writes, so a parked receiver stays parked.
+				outcome, winner := vs.receive(k, letter, rc.portDat[k])
+				if e.corrupt && vs.outvoted(outcome, winner, letter) {
+					chStats.Outvoted++
+				}
+				if outcome != voteCommit {
+					continue
+				}
+				letter = winner
+			}
 			if parkedCount > 0 && parked[v] {
+				// Lost reads the receiver's last step time, so its skipped
+				// steps land first.
 				if err := replay(v, e.time, 0); err != nil {
 					return nil, err
 				}
 			}
-			if vs != nil {
-				// Voted decoding: the receipt enters the port's vote
-				// window; only a winning letter touches the port, and a
-				// confirming winner touches nothing at all.
-				letter := nfsm.Letter(e.letter)
-				outcome, winner := vs.receive(k, letter, rc.portDat[k])
-				if outcome == voteCommit {
-					if portWriteAt[k] > lastStepAt[v] {
-						res.Lost++
-					}
-					rc.setPort(v, k, winner)
-					portWriteAt[k] = e.time
-				}
-				if e.corrupt && vs.outvoted(outcome, winner, letter) {
-					chStats.Outvoted++
-				}
-				continue
-			}
 			if portWriteAt[k] > lastStepAt[v] {
 				res.Lost++
 			}
-			rc.setPort(v, k, nfsm.Letter(e.letter))
+			rc.setPort(v, k, letter)
 			portWriteAt[k] = e.time
 			if canPark && parked[v] {
 				// The write may have changed what the node observes:
@@ -932,6 +957,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		stepIndex[v] = t
 		lastStepAt[v] = e.time
 		res.Steps++
+		as.stepped++
 		if lagging > 0 && stepsSince[v] < 2 {
 			if stepsSince[v]++; stepsSince[v] == 2 {
 				lagging--

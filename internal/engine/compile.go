@@ -53,7 +53,7 @@ type MachineCode struct {
 	nl       int // |Σ|
 	b        int // one-two-many bound
 	initial  nfsm.Letter
-	outMask  []uint64      // progFlat: Q_O membership bitset
+	outMask  []uint64      // Q_O membership bitset: progFlat, and RoundProtocols left dynamic
 	delta    [][]nfsm.Move // progFlat: δ rows (see progKind)
 	pow      []uint64      // runCounts.idx weights: progFlat (b+1)^l, dynPack 1<<(bits·l)
 	pdim     int           // progFlat: (b+1)^|Σ|
@@ -116,8 +116,12 @@ func CompileMachine(m nfsm.Machine) *MachineCode {
 		// A RoundProtocol's Transition is a pure function by contract,
 		// so even the dynamic fallback may be sharded across workers.
 		c.parallel = true
-		if c.kind == progDynamic && c.single == nil {
-			c.packable()
+		if c.kind == progDynamic {
+			// The state set is fixed, so Q_O stays a compile-time bitset.
+			c.outMask = outputBitset(c.nq, m.IsOutput)
+			if c.single == nil {
+				c.packable()
+			}
 		}
 	}
 	return c
@@ -596,14 +600,31 @@ func (rc *runCounts) dynRow(v int, q nfsm.State, ds *dynScratch) uint64 {
 	return 0
 }
 
+// builtRows is the optional capability of a lazily interning machine
+// to hand out a δ row only if an earlier Moves call built it, so that
+// reading it interns no state.
+type builtRows interface {
+	BuiltMoves(q nfsm.State, counts []nfsm.Count) ([]nfsm.Move, bool)
+}
+
 // fillRow resolves the row word of node v in state q from Machine.Moves.
-func (rc *runCounts) fillRow(v int, q nfsm.State, ds *dynScratch) uint64 {
+// Unless resolve is set, a builtRows machine's row that is not built
+// yet stays unresolved and fillRow returns 0.
+func (rc *runCounts) fillRow(v int, q nfsm.State, ds *dynScratch, resolve bool) uint64 {
 	p := rc.p
 	i := ds.rec(p.MachineCode, q)
 	ql := uint32(ds.recs[i])
 	c := min(rc.raw[v*p.nl+int(ql)], int32(p.b))
 	ds.cbuf[ql] = nfsm.Count(c)
-	row := p.m.Moves(q, ds.cbuf)
+	var row []nfsm.Move
+	if br, ok := p.m.(builtRows); ok && !resolve {
+		var built bool
+		if row, built = br.BuiltMoves(q, ds.cbuf); !built {
+			return 0
+		}
+	} else {
+		row = p.m.Moves(q, ds.cbuf)
+	}
 	var w uint64
 	mv := nfsm.Move{Next: -1} // packs only a lone move
 	if len(row) == 1 {
@@ -636,12 +657,17 @@ func b2i(b bool) int {
 // for the chain walker; the successor is meaningful for the silent
 // kinds only. On dynamic single-query machines (the synchronizer
 // compilations the asynchronous engine executes) both come from one
-// record word.
-func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch) (nfsm.State, int8) {
+// record word. Unless resolve is set, a row a builtRows machine has not
+// built yet reads as branching: building it interns its successors, so
+// the walker, which looks ahead of where the node may ever get, leaves
+// it to the step that reaches it.
+func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch, resolve bool) (nfsm.State, int8) {
 	if p := rc.p; p.kind == progDynamic && p.single != nil {
 		w := rc.dynRow(v, q, ds)
 		if w == 0 {
-			w = rc.fillRow(v, q, ds)
+			if w = rc.fillRow(v, q, ds, resolve); w == 0 {
+				return 0, rowBranches
+			}
 		}
 		return nfsm.State(uint32(w)), int8(w >> rowKindShift & 3)
 	}
@@ -662,7 +688,7 @@ func (rc *runCounts) pick(v int, q nfsm.State, ds *dynScratch, seed uint64, t in
 	if p.kind == progDynamic && p.single != nil {
 		w := rc.dynRow(v, q, ds)
 		if w == 0 {
-			w = rc.fillRow(v, q, ds)
+			w = rc.fillRow(v, q, ds, true)
 		}
 		if w&rowSide == 0 {
 			mv := nfsm.Move{Next: nfsm.State(uint32(w)), Emit: nfsm.Letter(w>>32&(1<<16-1)) - 1}
@@ -683,11 +709,11 @@ func (rc *runCounts) pick(v int, q nfsm.State, ds *dynScratch, seed uint64, t in
 	return mv, dout, len(row)
 }
 
-// isOutputDS answers Q_O membership: from the bitset on flat kinds, from
-// the caller's record table on dynamic machines, so the hot loops do not
-// take the machine's lock per step.
+// isOutputDS answers Q_O membership: from the compile-time bitset when
+// the state set is fixed, else from the caller's record table, so the
+// hot loops do not take the machine's lock per step.
 func (c *MachineCode) isOutputDS(q nfsm.State, ds *dynScratch) bool {
-	if c.kind != progDynamic {
+	if c.outMask != nil {
 		return c.outMask[q>>6]>>(uint(q)&63)&1 == 1
 	}
 	return ds.recs[ds.rec(c, q)]&hdrOut != 0

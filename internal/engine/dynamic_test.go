@@ -12,6 +12,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"stoneage/internal/channel"
@@ -161,7 +162,7 @@ func TestDifferentialDynamicAsync(t *testing.T) {
 // chains of equal length begin at the initial pushes, at batches at
 // time 0, at two batches sharing a time, and at a restart that follows
 // a crash in the same batch. A variant adds Byzantine nodes, which
-// never park.
+// never park, and a channel variant runs that under the hostile stack.
 func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 	m, err := synchro.CompileRound(mis.Protocol())
 	if err != nil {
@@ -178,11 +179,25 @@ func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 		{At: 4, Muts: []graph.Mutation{restart(1), restart(11), {Kind: graph.MutAddEdge, U: 0, V: 6}}},
 		{At: 4, Muts: []graph.Mutation{crash(1), restart(1)}},
 	}}
-	// Byzantine nodes without a channel model: they never park (they
-	// do not run δ), while their honest neighbors do.
+	// Byzantine nodes never park (they do not run δ), while their
+	// honest neighbors do, with or without a channel model.
 	byz := *ties
 	byz.Name = "ties-byzantine"
 	byz.Byzantine = []channel.ByzNode{channel.RandomBabbler(2, 5), channel.Silent(13)}
+	// The channel variant runs the voted tier, whose eviction outlasts
+	// the silent node, so runs converge and the tie order shows. The
+	// tier rejects topological mutations, so the edge insertion goes.
+	voted, err := synchro.CompileRoundVoted(mis.Protocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byzCh := byz
+	byzCh.Name = "ties-byzantine-channel"
+	byzCh.Batches = nil
+	for _, b := range byz.Batches {
+		b.Muts = slices.DeleteFunc(slices.Clone(b.Muts), graph.Mutation.Topological)
+		byzCh.Batches = append(byzCh.Batches, b)
+	}
 	for _, advName := range []string{"uniform", "skew", "overwriter"} {
 		for gi, g0 := range dynGraphs()[:3] {
 			for di, def := range dynDefs() {
@@ -204,6 +219,12 @@ func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 				diffDynamicAsync(t, fmt.Sprintf("ties/m%d/%s/seed%d", mi, advName, seed), tm, graph.Cycle(16), dynCfg(seed, advName, ties, 1<<20))
 			}
 			diffDynamicAsync(t, fmt.Sprintf("byzantine/%s/seed%d", advName, seed), m, graph.Cycle(16), dynCfg(seed, advName, &byz, 1<<16))
+			// Channel runs park too: the tie keys must hold with drops,
+			// duplicates and reorders in flight.
+			chCfg := dynCfg(seed, advName, &byzCh, 1<<20)
+			chCfg.Channel = stackedChannel(seed)
+			chCfg.Voted = &engine.VotedConfig{RePulseSource: voted.RePulseSource}
+			diffDynamicAsync(t, fmt.Sprintf("byzantine-channel/%s/seed%d", advName, seed), voted, graph.Cycle(16), chCfg)
 			// A Byzantine babbler whose frozen state is flood's idle
 			// self-loop: parked, it would never babble.
 			cfg := dynCfg(seed, advName, &byz, 1<<16)
@@ -236,31 +257,7 @@ func diffDynamicAsync(t *testing.T, name string, m nfsm.Machine, g0 *graph.Graph
 		}
 		return
 	}
-	if got.Time != ref.Time || got.TimeUnits != ref.TimeUnits ||
-		got.RecoveryTime != ref.RecoveryTime || got.RecoveryTimeUnits != ref.RecoveryTimeUnits {
-		t.Fatalf("%s: (time, units, rec, recUnits) = (%v, %v, %v, %v), reference (%v, %v, %v, %v)",
-			name, got.Time, got.TimeUnits, got.RecoveryTime, got.RecoveryTimeUnits,
-			ref.Time, ref.TimeUnits, ref.RecoveryTime, ref.RecoveryTimeUnits)
-	}
-	if got.Steps != ref.Steps || got.Transmissions != ref.Transmissions || got.Lost != ref.Lost {
-		t.Fatalf("%s: (steps, tx, lost) = (%d, %d, %d), reference (%d, %d, %d)",
-			name, got.Steps, got.Transmissions, got.Lost, ref.Steps, ref.Transmissions, ref.Lost)
-	}
-	if len(got.PerturbedAt) != len(ref.PerturbedAt) {
-		t.Fatalf("%s: %d perturbations, reference %d", name, len(got.PerturbedAt), len(ref.PerturbedAt))
-	}
-	for i := range got.PerturbedAt {
-		if got.PerturbedAt[i] != ref.PerturbedAt[i] {
-			t.Fatalf("%s: perturbation %d at %v, reference %v",
-				name, i, got.PerturbedAt[i], ref.PerturbedAt[i])
-		}
-	}
-	if !sameStates(got.States, ref.States) {
-		t.Fatalf("%s: final states diverge", name)
-	}
-	if !sameGraph(got.FinalGraph, ref.FinalGraph) {
-		t.Fatalf("%s: final graphs diverge", name)
-	}
+	sameAsyncResult(t, name, got, ref)
 }
 
 // TestAsyncBatchStartsOnce pins a batch that starts a node more than

@@ -28,6 +28,11 @@ func StaleIdx(s *Scratch) int {
 	return -1
 }
 
+// SteppedEvents reports how many steps the last asynchronous run on s
+// materialized: step events the ladder popped and processed. The rest
+// of the run's Steps were parked and replayed.
+func SteppedEvents(s *Scratch) int64 { return s.async().stepped }
+
 // KeepsIdx reports whether runs of the machine maintain the per-node
 // observation index, and whether it is a dynPack machine's memo key.
 func KeepsIdx(c *MachineCode) (keeps, dynPack bool) { return c.pow != nil, c.dynPack }

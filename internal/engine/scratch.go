@@ -62,6 +62,7 @@ type asyncScratch struct {
 	virtIndex   []int
 	virtLen     []float64
 	pendingReal []bool
+	walked      []walkedChain
 	stepBuf     [256]float64
 
 	// Step tie-key origin ranks (see stepKey): each node's current
@@ -88,6 +89,23 @@ type asyncScratch struct {
 	// re-walks stay cheap on delivery-heavy nodes while undisturbed
 	// chains virtualize in large windows.
 	walkCap []int32
+
+	// stepped counts the last run's materialized steps: the step events
+	// the ladder popped and processed, as opposed to the skipped steps
+	// replay accounted for.
+	stepped int64
+}
+
+// walkedChain is where a parked node's walked silent chain ends and
+// what replaying it whole consumes, so a replay past the chain's last
+// skipped step lands on its end without re-deriving each hop.
+type walkedChain struct {
+	q      nfsm.State // state at the end
+	idx    int        // index of the step pending at the end
+	at     float64    // its time
+	len    float64    // its length
+	last   float64    // time of the chain's last skipped step
+	maxLen float64    // the largest step length the hops consume
 }
 
 // async returns the lazily allocated asynchronous working state.

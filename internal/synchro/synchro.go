@@ -555,6 +555,17 @@ func (c *Compiled) Moves(s nfsm.State, counts []nfsm.Count) []nfsm.Move {
 	return row
 }
 
+// BuiltMoves returns δ̂'s row for (s, counts) when an earlier Moves call
+// built it, and false otherwise. It never interns a state, so the
+// engine's chain walker can look ahead without growing Q̂ past what
+// the run reaches.
+func (c *Compiled) BuiltMoves(s nfsm.State, counts []nfsm.Count) ([]nfsm.Move, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	row := c.rows[int(s)*(c.b+1)+int(counts[c.states[s].query])]
+	return row, row != nil
+}
+
 // buildRow computes the δ̂ row for (state, count). It works on a value
 // copy of the descriptor: interning the successor state may grow the
 // state table, which would invalidate a pointer into it. Callers hold
