@@ -44,11 +44,14 @@ test:
 # stonebench/ is a module of its own, so `go test ./...` never builds
 # it; its self-test runs here so an engine API change cannot break the
 # benchmark unnoticed.
-# The final block is the distributed-sweep gate: the smoke spec sharded
-# over 3 worker processes (a fresh work directory, real re-exec'd
-# `stonesim work` workers) must emit JSON and CSV byte-identical to the
-# single-process run once -stripwall removes the machine-dependent
-# wall-clock stats.
+# The final block is the distributed-sweep gate, on one stonesim build:
+# the smoke spec sharded over 3 worker processes (a fresh work
+# directory, real re-exec'd `stonesim work` workers) must emit JSON and
+# CSV byte-identical to the single-process run once -stripwall removes
+# the machine-dependent wall-clock stats; then two hand-started
+# `stonesim work` processes share a second fresh work directory with no
+# parent process, and the sweep that merges their spills must emit the
+# same bytes again.
 check: build
 	@fmt_out="$$(gofmt -l .)"; if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
@@ -65,11 +68,18 @@ check: build
 	go run ./cmd/stonesim sweep -spec examples/specs/churn-mis.json -q -trials 4
 	go run ./cmd/stonesim sweep -spec examples/specs/lossy-mis.json -q -trials 4
 	go run ./cmd/stonesim sweep -spec examples/specs/hostile-mis.json -q -trials 4
-	rm -rf /tmp/stonesim-check-shard
-	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -stripwall -json /tmp/stonesim-shard-1.json -csv /tmp/stonesim-shard-1.csv
-	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -stripwall -procs 3 -workdir /tmp/stonesim-check-shard -json /tmp/stonesim-shard-3.json -csv /tmp/stonesim-shard-3.csv
+	rm -rf /tmp/stonesim-check-shard /tmp/stonesim-check-claims
+	go build -o /tmp/stonesim-check ./cmd/stonesim
+	/tmp/stonesim-check sweep -spec examples/specs/smoke.json -q -stripwall -json /tmp/stonesim-shard-1.json -csv /tmp/stonesim-shard-1.csv
+	/tmp/stonesim-check sweep -spec examples/specs/smoke.json -q -stripwall -procs 3 -workdir /tmp/stonesim-check-shard -json /tmp/stonesim-shard-3.json -csv /tmp/stonesim-shard-3.csv
 	cmp /tmp/stonesim-shard-1.json /tmp/stonesim-shard-3.json
 	cmp /tmp/stonesim-shard-1.csv /tmp/stonesim-shard-3.csv
+	/tmp/stonesim-check work -workdir /tmp/stonesim-check-claims -spec examples/specs/smoke.json -q & a=$$!; \
+		/tmp/stonesim-check work -workdir /tmp/stonesim-check-claims -spec examples/specs/smoke.json -q & b=$$!; \
+		wait $$a; sa=$$?; wait $$b; sb=$$?; [ $$sa -eq 0 ] && [ $$sb -eq 0 ]
+	/tmp/stonesim-check sweep -spec examples/specs/smoke.json -procs 1 -workdir /tmp/stonesim-check-claims -q -stripwall -json /tmp/stonesim-claims.json -csv /tmp/stonesim-claims.csv
+	cmp /tmp/stonesim-shard-1.json /tmp/stonesim-claims.json
+	cmp /tmp/stonesim-shard-1.csv /tmp/stonesim-claims.csv
 	@echo "check: OK"
 
 # bench is the performance run: stonebench (the benchmark BENCHMARK.json

@@ -165,10 +165,11 @@ func BenchmarkEngineCompiledVsRef(b *testing.B) {
 // BenchmarkShardedSweep measures the dispatch layer against the
 // in-process campaign runner on one MIS sweep (4 families × 2 sizes × 8
 // trials). The inproc arm is campaign.Run on one worker; the procs arms
-// coordinate in-process workers over the worker protocol, so their gap
-// to inproc is coordination overhead (socket round-trips, spill fsyncs,
-// merge) net of cell-level parallelism, not exec cost. Only on a
-// multi-core host do the 2- and 4-proc arms show a speedup.
+// run in-process workers that claim cells from a work directory, so
+// their gap to inproc is coordination overhead (claim and done-marker
+// files, spill fsyncs, merge) net of cell-level parallelism, not exec
+// cost. Only on a multi-core host do the 2- and 4-proc arms show a
+// speedup.
 func BenchmarkShardedSweep(b *testing.B) {
 	spec := campaign.Spec{
 		Protocols: []string{"mis"},

@@ -63,14 +63,14 @@
 // CSV; see examples/specs for spec files (the `scenarios` field sweeps
 // dynamic-network scenarios as a campaign axis, e.g.
 // examples/specs/churn-mis.json). With -procs N the sweep shards over
-// N worker processes through the internal/dispatch coordinator —
-// finished cells checkpoint to per-worker spill files in -workdir, a
-// killed worker's cells are re-claimed, an interrupted sweep resumes
-// from the same -workdir, and the merged output is byte-identical to
-// the in-process run at every proc count (strip the machine-dependent
-// wall-clock stats with -stripwall to compare). The work subcommand is
-// one such worker: spawned by the coordinator, or run by hand against
-// a shared work directory for coordinator-less sharding, e.g.
+// N worker processes that claim cells from the -workdir directory
+// (internal/dispatch) — finished cells checkpoint to per-worker spill
+// files there, a killed worker's claims are released to its peers, an
+// interrupted sweep resumes from the same -workdir, and the merged
+// output is byte-identical to the in-process run at every proc count
+// (strip the machine-dependent wall-clock stats with -stripwall to
+// compare). The work subcommand is one such worker: spawned by sweep,
+// or run by hand on several machines sharing the work directory, e.g.
 //
 //	stonesim sweep -spec examples/specs/smoke.json -procs 3 -workdir /tmp/sweep
 //	stonesim work -workdir /mnt/shared/sweep -spec examples/specs/smoke.json

@@ -589,7 +589,7 @@ func TestTraceCSV(t *testing.T) {
 }
 
 // TestWorkAndShardedSweep wires the dispatch layer through the CLI: a
-// coordinator-less `work` run executes every cell into the work
+// hand-started `work` run executes every cell into the work
 // directory's spill files, and a subsequent `sweep -procs` over the
 // same directory resumes all of them (zero re-runs, zero workers
 // spawned) and merges output byte-identical to the plain in-process

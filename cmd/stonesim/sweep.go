@@ -18,7 +18,8 @@ import (
 
 // runSweep is the `stonesim sweep` subcommand: load a campaign spec,
 // run it — in-process by default, or sharded over -procs worker
-// processes through the internal/dispatch coordinator — print the
+// processes that claim cells from a shared work directory
+// (internal/dispatch) — print the
 // per-protocol tables, and optionally emit the full aggregates as JSON
 // and/or CSV. SIGINT/SIGTERM cancels in-flight work at the next trial
 // boundary; a sharded sweep keeps its finished cells durable in the

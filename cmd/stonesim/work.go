@@ -14,18 +14,18 @@ import (
 	"stoneage/internal/dispatch"
 )
 
-// runWork is the `stonesim work` subcommand: one sweep worker. The
-// coordinator (`stonesim sweep -procs N`) re-execs it against its
-// socket; run by hand with no -connect it works coordinator-less
-// against the shared work directory, claiming cells via O_EXCL claim
-// files — several machines sharing a filesystem can each run one and a
-// final `stonesim sweep -procs 1 -workdir D` merges the spills.
-// SIGINT/SIGTERM stops at the next trial boundary; every finished cell
-// is already fsync'd in this worker's spill file.
+// runWork is the `stonesim work` subcommand: one sweep worker on a
+// shared work directory, claiming cells via O_EXCL claim files. `stonesim
+// sweep -procs N` re-execs N of them; run by hand, several machines
+// sharing a filesystem can each run one, and a final `stonesim sweep
+// -procs 1 -workdir D` merges the spills. The worker returns once every
+// cell is done, stealing claims that peers stopped renewing.
+// SIGINT/SIGTERM releases the in-flight claim and stops at the next
+// trial boundary; every finished cell is already fsync'd in this
+// worker's spill file.
 func runWork(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("stonesim work", flag.ContinueOnError)
 	workdir := fs.String("workdir", "", "sweep work directory (required)")
-	connect := fs.String("connect", "", "coordinator socket to serve under (empty = coordinator-less claim-directory mode)")
 	id := fs.String("id", "", "worker id (default derives from the pid); keys the spill file and claims")
 	spec := fs.String("spec", "", "campaign spec file; default reads <workdir>/spec.json (a fresh directory requires one, and is then stamped for later workers)")
 	lease := fs.Duration("lease", 0, "lease TTL before a silent worker's claims are stolen (default 15s)")
@@ -40,7 +40,6 @@ func runWork(args []string, w io.Writer) error {
 	opts := dispatch.Options{
 		ID:        *id,
 		WorkDir:   *workdir,
-		Connect:   *connect,
 		LeaseTTL:  *lease,
 		Heartbeat: *heartbeat,
 	}
@@ -62,7 +61,7 @@ func runWork(args []string, w io.Writer) error {
 	ran, err := dispatch.Work(ctx, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			fmt.Fprintf(os.Stderr, "worker interrupted: %d finished cells are durable in %s; the in-flight cell will be re-claimed\n", ran, *workdir)
+			fmt.Fprintf(os.Stderr, "worker interrupted: %d finished cells are durable in %s; the in-flight cell was released\n", ran, *workdir)
 		}
 		return err
 	}

@@ -22,10 +22,10 @@
 // (graph.EdgeStream → BuildCSR, which reach n = 10⁶ without ever
 // materializing an edge list), the distributed-sweep dispatcher
 // (internal/dispatch: `stonesim sweep -procs N` shards a campaign's
-// cells over re-exec'd worker processes with fsync'd per-cell spill
-// checkpoints, lease-based crash recovery and a coordinator-less
-// claim-directory mode, merging byte-identically to the in-process
-// run at any shard count), stonebench/ for the benchmark that
+// cells over re-exec'd worker processes that coordinate only through
+// claim files in a shared work directory, with fsync'd per-cell spill
+// checkpoints and lease-based crash recovery, merging byte-identically
+// to the in-process run at any shard count), stonebench/ for the benchmark that
 // BENCHMARK.json describes (the repository's wall-clock and memory
 // ledger: CPU-second medians, bounds, determinism digests and per-layer
 // attribution over three workloads; `make bench` runs them and then the

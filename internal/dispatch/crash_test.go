@@ -23,7 +23,6 @@ func TestHelperWorker(t *testing.T) {
 	opts := Options{
 		ID:      os.Getenv("WORKER_ID"),
 		WorkDir: os.Getenv("WORKER_DIR"),
-		Connect: os.Getenv("WORKER_SOCK"),
 	}
 	if d, err := time.ParseDuration(os.Getenv("WORKER_START_DELAY")); err == nil {
 		time.Sleep(d)
@@ -57,8 +56,8 @@ func TestHelperWorker(t *testing.T) {
 
 // TestWorkerKillRetry is the worker-failure drill the issue demands: a
 // 3-process sweep, one worker SIGKILL'd while it holds a cell
-// mid-execution. The coordinator must requeue the dead worker's cells
-// and the merged output must remain byte-identical to the
+// mid-execution. Run must release the dead worker's claim for its live
+// peers and the merged output must remain byte-identical to the
 // single-process run.
 func TestWorkerKillRetry(t *testing.T) {
 	if testing.Short() {
@@ -75,7 +74,6 @@ func TestWorkerKillRetry(t *testing.T) {
 			"STONEAGE_WORKER_HELPER=1",
 			"WORKER_ID="+o.ID,
 			"WORKER_DIR="+o.WorkDir,
-			"WORKER_SOCK="+o.Connect,
 		)
 		if o.ID == "w0" {
 			// The victim starts late, as on a loaded host.

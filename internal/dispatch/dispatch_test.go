@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,8 +47,8 @@ func axesSpec() campaign.Spec {
 	}
 }
 
-// inprocSpawn runs workers as goroutines in this process — same
-// protocol, same spill files, no exec.
+// inprocSpawn runs workers as goroutines in this process — same claim
+// files, same spill files, no exec.
 func inprocSpawn() func(ctx context.Context, o Options) (func() error, error) {
 	return func(ctx context.Context, o Options) (func() error, error) {
 		errc := make(chan error, 1)
@@ -74,7 +75,7 @@ func emit(t *testing.T, res *campaign.Result) (string, string) {
 	return j.String(), c.String()
 }
 
-// TestShardedByteIdentity is the tentpole invariant: the coordinated
+// TestShardedByteIdentity is the central invariant: the sharded
 // sweep's merged emitter output is byte-identical to the
 // single-process campaign.Run at proc counts 1, 2 and 4, for a static
 // spec and for one sweeping scenario and channel axes.
@@ -180,9 +181,9 @@ func TestPartialResume(t *testing.T) {
 	}
 }
 
-// TestClaimDirWorkers runs two coordinator-less workers against a
-// shared directory, then merges their spills via a zero-pending Run —
-// the shared-filesystem deployment with no coordinator process.
+// TestClaimDirWorkers runs two hand-started workers against a shared
+// directory, then merges their spills via a zero-pending Run — the
+// shared-filesystem deployment with no parent process.
 func TestClaimDirWorkers(t *testing.T) {
 	sp := staticSpec()
 	dir := t.TempDir()
@@ -326,8 +327,9 @@ func TestCellFailureAborts(t *testing.T) {
 	}
 }
 
-// TestInterrupt: a canceled coordinator returns an interrupted error,
-// not a partial merge; the finished cells stay durable for resume.
+// TestInterrupt: a canceled Run returns an interrupted error,
+// not a partial merge; the finished cells stay durable for resume and
+// no claim is left behind.
 func TestInterrupt(t *testing.T) {
 	sp := staticSpec()
 	dir := t.TempDir()
@@ -354,6 +356,11 @@ func TestInterrupt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "interrupted") {
 		t.Fatalf("interrupted run returned %v", err)
 	}
+	// The interrupted worker handed back its in-flight claim, so the
+	// resume below waits out no lease.
+	if left, err := os.ReadDir(claimsDir(dir)); err != nil || len(left) != 0 {
+		t.Fatalf("claims left after interrupt: %d (%v)", len(left), err)
+	}
 
 	// The durable spills plus fresh workers finish the sweep on resume.
 	res, _, err := Run(context.Background(), Config{Spec: sp, WorkDir: dir, Procs: 2, SpawnWorker: inprocSpawn()})
@@ -371,27 +378,62 @@ func TestInterrupt(t *testing.T) {
 	}
 }
 
-// TestBoardExpire pins the janitor's lease-expiry requeue.
-func TestBoardExpire(t *testing.T) {
+// TestSilentWorkerClaimStolen: a worker that holds a claim but stops
+// renewing it (hung, heartbeat far longer than the lease) must not
+// wedge the sweep — its live peer steals the stale claim and finishes.
+func TestSilentWorkerClaimStolen(t *testing.T) {
 	sp := staticSpec()
-	b := newBoard(sp.CellIDs()[:1], nil)
-	now := time.Now()
-	kind, key, _ := b.next("w0", now.Add(50*time.Millisecond))
-	if kind != msgCell {
-		t.Fatalf("next = %s, want cell", kind)
+	inFlight := make(chan struct{})
+	var once sync.Once
+	var silentRan atomic.Int64
+	spawn := func(ctx context.Context, o Options) (func() error, error) {
+		if o.ID == "w0" {
+			o.Heartbeat = time.Hour
+			o.BeforeCell = func(string) {
+				once.Do(func() { close(inFlight) })
+				<-ctx.Done()
+			}
+		} else {
+			// Hold the first cell until w0 has one in flight, so the
+			// sweep cannot finish before w0 claims a cell.
+			o.BeforeCell = func(string) { <-inFlight }
+		}
+		errc := make(chan error, 1)
+		go func() {
+			n, err := Work(ctx, o)
+			if o.ID == "w0" {
+				silentRan.Store(int64(n))
+			}
+			errc <- err
+		}()
+		return func() error { return <-errc }, nil
 	}
-	if n := b.expire(now); n != 0 {
-		t.Fatalf("expired %d leases before the deadline", n)
+	res, rep, err := Run(context.Background(), Config{
+		Spec:        sp,
+		WorkDir:     t.TempDir(),
+		Procs:       2,
+		LeaseTTL:    300 * time.Millisecond,
+		SpawnWorker: spawn,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.heartbeat("w0", now.Add(time.Minute))
-	if n := b.expire(now.Add(time.Second)); n != 0 {
-		t.Fatalf("expired %d heartbeated leases", n)
+	if n := silentRan.Load(); n != 0 {
+		t.Fatalf("silent worker finished %d cells, want 0", n)
 	}
-	if n := b.expire(now.Add(2 * time.Minute)); n != 1 {
-		t.Fatalf("expired %d leases past the deadline, want 1", n)
+	if rep.Executed != rep.Cells {
+		t.Fatalf("report %+v: the silent worker's cell was not stolen", rep)
 	}
-	kind2, key2, _ := b.next("w1", now.Add(time.Hour))
-	if kind2 != msgCell || key2 != key {
-		t.Fatalf("requeued cell not re-served: got %s %q, want cell %q", kind2, key2, key)
+	base, err := campaign.Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, wantCSV := emit(t, base)
+	gotJSON, gotCSV := emit(t, res)
+	if gotJSON != wantJSON {
+		t.Fatal("merged JSON after a claim steal differs from single-process run")
+	}
+	if gotCSV != wantCSV {
+		t.Fatal("merged CSV after a claim steal differs from single-process run")
 	}
 }

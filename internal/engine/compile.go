@@ -420,13 +420,10 @@ type dynScratch struct {
 	// mrows memoizes multi-letter dynamic δ rows by packed observation
 	// key (dynPack machines only). An open-addressing table beats a Go
 	// map here: the lookup is two array reads on the hot path and the
-	// storage is reusable. mcalls counts multi-letter resolutions: the
-	// memo only engages past dynMemoThreshold, so short runs on fresh
-	// arenas (a few thousand node-rounds) never pay the table build —
-	// it exists for the long ones, where a Transition call per node
-	// step is an allocation storm.
-	mrows  rowTab
-	mcalls int
+	// storage is reusable. Transition is pure for a RoundProtocol, so
+	// the memo is exact from the first resolution; without it a long run
+	// makes a Transition call, an allocation storm, per node step.
+	mrows rowTab
 }
 
 // A record header holds the query letter in its low 32 bits, then the
@@ -540,12 +537,7 @@ func (ds *dynScratch) invalidate() {
 	clear(ds.side)
 	ds.side = ds.side[:0]
 	ds.mrows.clear()
-	ds.mcalls = 0
 }
-
-// dynMemoThreshold is the number of multi-letter δ resolutions a scratch
-// arena sees before the packed-key memo engages.
-const dynMemoThreshold = 8192
 
 // Row classifications for the asynchronous chain walker. Zero is
 // reserved for "not yet resolved" so an empty record word is inert.
@@ -747,14 +739,10 @@ func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 		return p.delta[int(q)*p.pdim+int(rc.idx[v])]
 	}
 	var key uint64
-	memo := false
 	if p.dynPack {
-		ds.mcalls++
-		if memo = ds.mcalls > dynMemoThreshold; memo {
-			key = uint64(q)<<p.dynShift | rc.idx[v]
-			if row, ok := ds.mrows.lookup(key); ok {
-				return row
-			}
+		key = uint64(q)<<p.dynShift | rc.idx[v]
+		if row, ok := ds.mrows.lookup(key); ok {
+			return row
 		}
 	}
 	base := v * p.nl
@@ -762,7 +750,7 @@ func (rc *runCounts) movesFor(v int, q nfsm.State, ds *dynScratch) []nfsm.Move {
 		ds.cbuf[l] = nfsm.ClampCount(int(rc.raw[base+l]), p.b)
 	}
 	row := p.m.Moves(q, ds.cbuf)
-	if memo {
+	if p.dynPack {
 		ds.mrows.insert(key, row)
 	}
 	return row

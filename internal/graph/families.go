@@ -24,8 +24,17 @@ import (
 // GeometricRadius) — the generator itself does not augment the sample.
 func RandomGeometric(n int, r float64, src *xrand.Source) *Graph {
 	g := New(n)
+	randomGeometricEdges(n, r, src, g.mustAddEmitted)
+	return g
+}
+
+// randomGeometricEdges draws the n points from src and calls emit once
+// per pair within distance r; RandomGeometric and RandomGeometricStream
+// both draw through it. Point coordinates and the bucket grid are O(n)
+// scratch; edges are never stored.
+func randomGeometricEdges(n int, r float64, src *xrand.Source, emit func(u, v int32)) {
 	if n == 0 || r <= 0 {
-		return g
+		return
 	}
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -39,7 +48,7 @@ func RandomGeometric(n int, r float64, src *xrand.Source) *Graph {
 	if side < 1 {
 		side = 1
 	}
-	bucket := make(map[[2]int][]int, n)
+	bucket := make(map[[2]int][]int32, n)
 	cellOf := func(i int) [2]int {
 		cx := int(xs[i] * float64(side))
 		cy := int(ys[i] * float64(side))
@@ -53,7 +62,7 @@ func RandomGeometric(n int, r float64, src *xrand.Source) *Graph {
 	}
 	for i := 0; i < n; i++ {
 		c := cellOf(i)
-		bucket[c] = append(bucket[c], i)
+		bucket[c] = append(bucket[c], int32(i))
 	}
 	r2 := r * r
 	for i := 0; i < n; i++ {
@@ -61,18 +70,17 @@ func RandomGeometric(n int, r float64, src *xrand.Source) *Graph {
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for _, j := range bucket[[2]int{c[0] + dx, c[1] + dy}] {
-					if j <= i {
+					if int(j) <= i {
 						continue
 					}
 					ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
 					if ddx*ddx+ddy*ddy <= r2 {
-						g.mustAddEdge(i, j)
+						emit(int32(i), j)
 					}
 				}
 			}
 		}
 	}
-	return g
 }
 
 // GeometricRadius returns c times the connectivity-threshold radius

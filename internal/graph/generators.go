@@ -22,11 +22,20 @@ func Path(n int) *Graph {
 
 // Cycle returns the cycle graph C_n (n >= 3); for n < 3 it returns a path.
 func Cycle(n int) *Graph {
-	g := Path(n)
-	if n >= 3 {
-		g.mustAddEdge(n-1, 0)
-	}
+	g := New(n)
+	cycleEdges(n, g.mustAddEmitted)
 	return g
+}
+
+// cycleEdges calls emit once per edge of Cycle(n), in insertion order;
+// Cycle and CycleStream both enumerate through it.
+func cycleEdges(n int, emit func(u, v int32)) {
+	for v := 0; v+1 < n; v++ {
+		emit(int32(v), int32(v+1))
+	}
+	if n >= 3 {
+		emit(int32(n-1), 0)
+	}
 }
 
 // Star returns the star K_{1,n-1} with center 0.
@@ -122,10 +131,17 @@ func GnpConnected(n int, p float64, src *xrand.Source) *Graph {
 // and a broad degree distribution.
 func RandomTree(n int, src *xrand.Source) *Graph {
 	g := New(n)
-	for v := 1; v < n; v++ {
-		g.mustAddEdge(v, src.Intn(v))
-	}
+	randomTreeEdges(n, src, g.mustAddEmitted)
 	return g
+}
+
+// randomTreeEdges draws the uniform-attachment tree from src and calls
+// emit once per edge; RandomTree and RandomTreeStream both draw through
+// it, so a stream is draw-identical to its materialized twin.
+func randomTreeEdges(n int, src *xrand.Source, emit func(u, v int32)) {
+	for v := 1; v < n; v++ {
+		emit(int32(v), int32(src.Intn(v)))
+	}
 }
 
 // BinaryTree returns the complete-ish binary tree on n nodes (heap order:

@@ -111,6 +111,10 @@ func (g *Graph) mustAddEdge(u, v int) {
 	}
 }
 
+// mustAddEmitted is mustAddEdge in the shape of an EdgeStream emit
+// callback, so a generator and its stream share one edge enumerator.
+func (g *Graph) mustAddEmitted(u, v int32) { g.mustAddEdge(int(u), int(v)) }
+
 func (g *Graph) insert(u, v int) {
 	nb := g.adj[u]
 	i := sort.SearchInts(nb, v)

@@ -207,24 +207,14 @@ func (s funcStream) Edges(emit func(u, v int32)) { s.edges(emit) }
 // CycleStream streams the cycle graph C_n, matching Cycle(n) (a path
 // for n < 3).
 func CycleStream(n int) EdgeStream {
-	return funcStream{n: n, edges: func(emit func(u, v int32)) {
-		for v := 0; v+1 < n; v++ {
-			emit(int32(v), int32(v+1))
-		}
-		if n >= 3 {
-			emit(int32(n-1), 0)
-		}
-	}}
+	return funcStream{n: n, edges: func(emit func(u, v int32)) { cycleEdges(n, emit) }}
 }
 
 // RandomTreeStream streams the uniform-attachment random tree,
 // draw-identical to RandomTree(n, xrand.New(seed)).
 func RandomTreeStream(n int, seed uint64) EdgeStream {
 	return funcStream{n: n, edges: func(emit func(u, v int32)) {
-		src := xrand.New(seed)
-		for v := 1; v < n; v++ {
-			emit(int32(v), int32(src.Intn(v)))
-		}
+		randomTreeEdges(n, xrand.New(seed), emit)
 	}}
 }
 
@@ -294,58 +284,10 @@ func GnpConnectedStream(n int, p float64, seed uint64) EdgeStream {
 }
 
 // RandomGeometricStream streams the random geometric graph,
-// draw-identical to RandomGeometric(n, r, xrand.New(seed)): n points in
-// the unit square bucketed into an r-sized grid, edges between pairs
-// within distance r. Point coordinates are O(n) scratch regenerated on
-// every pass; edges are never stored.
+// draw-identical to RandomGeometric(n, r, xrand.New(seed)). Point
+// coordinates are regenerated on every pass.
 func RandomGeometricStream(n int, r float64, seed uint64) EdgeStream {
 	return funcStream{n: n, edges: func(emit func(u, v int32)) {
-		if n == 0 || r <= 0 {
-			return
-		}
-		src := xrand.New(seed)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = src.Float64()
-			ys[i] = src.Float64()
-		}
-		side := int(1 / r)
-		if side < 1 {
-			side = 1
-		}
-		bucket := make(map[[2]int][]int32, n)
-		cellOf := func(i int) [2]int {
-			cx := int(xs[i] * float64(side))
-			cy := int(ys[i] * float64(side))
-			if cx >= side {
-				cx = side - 1
-			}
-			if cy >= side {
-				cy = side - 1
-			}
-			return [2]int{cx, cy}
-		}
-		for i := 0; i < n; i++ {
-			c := cellOf(i)
-			bucket[c] = append(bucket[c], int32(i))
-		}
-		r2 := r * r
-		for i := 0; i < n; i++ {
-			c := cellOf(i)
-			for dx := -1; dx <= 1; dx++ {
-				for dy := -1; dy <= 1; dy++ {
-					for _, j := range bucket[[2]int{c[0] + dx, c[1] + dy}] {
-						if int(j) <= i {
-							continue
-						}
-						ddx, ddy := xs[i]-xs[j], ys[i]-ys[j]
-						if ddx*ddx+ddy*ddy <= r2 {
-							emit(int32(i), j)
-						}
-					}
-				}
-			}
-		}
+		randomGeometricEdges(n, r, xrand.New(seed), emit)
 	}}
 }
