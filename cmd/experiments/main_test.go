@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,6 +29,39 @@ func TestRunSelectedQuickExperiments(t *testing.T) {
 	for _, want := range []string{"E7", "Good-node", "E8", "states equal", "| yes"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+
+	// The whole quick report renders, every experiment contributes a
+	// table with at least one row, and the bytes do not depend on how
+	// many goroutines the campaign pool runs.
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var sb strings.Builder
+		if err := run([]string{"-quick", "-seed", "1"}, &sb); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return sb.String()
+	}
+	one, four := render(1), render(4)
+	if one != four {
+		t.Fatalf("quick report differs between GOMAXPROCS=1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", one, four)
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split("\n"+one, "\n# ")[1:] {
+		id, _, _ := strings.Cut(sec, " ")
+		sections[id] = sec
+	}
+	for _, e := range registry() {
+		sec, ok := sections[e.id]
+		if !ok {
+			t.Errorf("report has no # %s section", e.id)
+			continue
+		}
+		// A table's header line and each of its rows start with "| ";
+		// its separator line starts with "|-".
+		if rows := strings.Count("\n"+sec, "\n| "); rows < 2 {
+			t.Errorf("section %s has no table row:\n%s", e.id, sec)
 		}
 	}
 }
