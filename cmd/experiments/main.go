@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"stoneage/internal/harness"
@@ -25,6 +24,14 @@ import (
 type config struct {
 	quick bool
 	seed  uint64
+}
+
+// scale picks the full or the -quick sizes and trials per cell.
+func (c config) scale(sizes, quickSizes []int, trials, quickTrials int) ([]int, int) {
+	if c.quick {
+		return quickSizes, quickTrials
+	}
+	return sizes, trials
 }
 
 // experiment is one row of the registry.
@@ -73,8 +80,16 @@ func run(args []string, stdout io.Writer) error {
 
 	want := map[string]bool{}
 	if *expFlag != "all" {
+		known := map[string]bool{}
+		for _, exp := range registry() {
+			known[exp.id] = true
+		}
 		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !known[id] {
+				return fmt.Errorf("unknown experiment %q (known: F1, E1..E14)", id)
+			}
+			want[id] = true
 		}
 	}
 
@@ -89,12 +104,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := config{quick: *quick, seed: *seed}
-	ran := 0
 	for _, exp := range registry() {
 		if len(want) > 0 && !want[exp.id] {
 			continue
 		}
-		ran++
 		fmt.Fprintf(w, "# %s — %s\n\n", exp.id, exp.title)
 		tables, err := exp.run(cfg)
 		if err != nil {
@@ -105,14 +118,6 @@ func run(args []string, stdout io.Writer) error {
 				return err
 			}
 		}
-	}
-	if ran == 0 {
-		ids := make([]string, 0, len(want))
-		for id := range want {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		return fmt.Errorf("no experiment matched %v", ids)
 	}
 	return nil
 }

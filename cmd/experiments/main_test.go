@@ -67,9 +67,13 @@ func TestRunSelectedQuickExperiments(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-exp", "E99"}, &sb); err == nil {
-		t.Fatal("unknown experiment id accepted")
+	// An unknown id is rejected by name, also next to a known one.
+	for _, exp := range []string{"E99", "E7,E99"} {
+		var sb strings.Builder
+		err := run([]string{"-exp", exp, "-quick"}, &sb)
+		if err == nil || !strings.Contains(err.Error(), `"E99"`) {
+			t.Fatalf("-exp %s: error %v, want one naming E99", exp, err)
+		}
 	}
 }
 

@@ -4,24 +4,23 @@ import (
 	"fmt"
 	"math"
 
-	"stoneage/internal/baseline"
 	"stoneage/internal/campaign"
 	"stoneage/internal/coloring"
 	"stoneage/internal/engine"
 	"stoneage/internal/graph"
 	"stoneage/internal/harness"
 	"stoneage/internal/lba"
-	"stoneage/internal/matching"
 	"stoneage/internal/mis"
 	"stoneage/internal/nfsm"
+	_ "stoneage/internal/protocol/std"
 	"stoneage/internal/synchro"
 	"stoneage/internal/xrand"
 )
 
-// graphFamily is a sized workload generator. The measurement
-// experiments (E1, E5) now run as internal/campaign sweeps; this local
-// shape survives for the census experiments (E7) that walk graphs
-// without executing a protocol.
+// graphFamily is a sized workload generator. Every table that runs a
+// protocol over graph families measures through internal/campaign;
+// this local shape serves E7's census, which walks graphs without
+// executing a protocol.
 type graphFamily struct {
 	name string
 	gen  func(n int, src *xrand.Source) *graph.Graph
@@ -40,57 +39,22 @@ func treeFamilies() []graphFamily {
 
 // expE1 measures the synchronous MIS round count across graph families
 // and sizes, fitting the scaling law. Theorem 4.5 predicts O(log² n).
-// It is a thin caller of a campaign spec: the cross product runs on the
-// parallel trial pool with per-trial deterministic seeds, and every
-// output is validated by the runner.
 func expE1(cfg config) ([]*harness.Table, error) {
-	sizes := harness.GeoSizes(16, 2048, 2)
-	trials := 5
-	if cfg.quick {
-		sizes = harness.GeoSizes(16, 256, 2)
-		trials = 3
-	}
-	sp := campaign.Spec{
+	sizes, trials := cfg.scale(harness.GeoSizes(16, 2048, 2), harness.GeoSizes(16, 256, 2), 5, 3)
+	t, chart, err := gridTable(campaign.Spec{
 		Name:      "E1",
 		Protocols: []string{"mis"},
 		// A fresh graph instance per trial: the table's means average
-		// over the family's randomness as well as the protocol's coins,
-		// matching the pre-campaign measurement semantics.
+		// over the family's randomness as well as the protocol's coins.
 		GraphPerTrial: true,
 		Families: []campaign.Family{
-			{Kind: "gnp", Param: campaign.Param(4), Label: "gnp(d̄=4)"},
-			{Kind: "tree"},
-			{Kind: "grid"},
-			{Kind: "cycle"},
-			{Kind: "geometric"},
-			{Kind: "powerlaw"},
-			{Kind: "smallworld"},
+			{Kind: "gnp", Param: campaign.Param(4), Label: "gnp(d̄=4)"}, {Kind: "tree"}, {Kind: "grid"},
+			{Kind: "cycle"}, {Kind: "geometric"}, {Kind: "powerlaw"}, {Kind: "smallworld"},
 		},
-		Sizes:  sizes,
-		Trials: trials,
-		Seed:   cfg.seed,
-	}
-	res, err := campaign.Run(sp)
+		Sizes: sizes, Trials: trials, Seed: cfg.seed,
+	}, "Mean MIS rounds (synchronous engine)", "family", &law{"rounds/log²n @max", log2sq})
 	if err != nil {
 		return nil, err
-	}
-	t := &harness.Table{
-		Title:  "Mean MIS rounds (synchronous engine)",
-		Header: append([]string{"family"}, sizeHeaders(sizes, "rounds/log²n @max", "best fit")...),
-	}
-	chart := map[string][]float64{}
-	for _, fam := range sp.Families {
-		row := []any{fam.Name()}
-		var ys []float64
-		for _, n := range sizes {
-			mean := res.Lookup(sp.Protocols[0], fam.Name(), n).Rounds.Mean
-			ys = append(ys, mean)
-			row = append(row, mean)
-		}
-		l := math.Log2(float64(sizes[len(sizes)-1]))
-		row = append(row, ys[len(ys)-1]/(l*l), harness.BestLaw(sizes, ys))
-		chart[fam.Name()] = ys
-		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		harness.ASCIIChart("MIS rounds vs n", sizes, chart, 64, 14),
@@ -109,45 +73,85 @@ func sizeHeaders(sizes []int, extra ...string) []string {
 	return append(out, extra...)
 }
 
-// expE2 runs the compiled MIS protocol asynchronously under every
-// adversary policy and reports normalized run-times.
-func expE2(cfg config) ([]*harness.Table, error) {
-	sizes := []int{16, 32, 64}
-	trials := 3
-	if cfg.quick {
-		sizes = []int{16, 32}
-		trials = 2
+// law is a ratio column: the mean at the largest size n over f(n).
+type law struct {
+	header string
+	f      func(n float64) float64
+}
+
+func log2sq(n float64) float64 { return math.Log2(n) * math.Log2(n) }
+
+// means returns the mean cost — rounds, or time units on an async
+// engine — of protocol p on family f at each of the result's sizes.
+func means(res *campaign.Result, p string, f campaign.Family) []float64 {
+	ys := make([]float64, len(res.Spec.Sizes))
+	for i, n := range res.Spec.Sizes {
+		ys[i] = res.Lookup(p, f.Name(), n).Rounds.Mean
 	}
+	return ys
+}
+
+// row lays out one table row: the label, one cell per value, then extra.
+func row(label string, ys []float64, extra ...any) []any {
+	cells := []any{label}
+	for _, y := range ys {
+		cells = append(cells, y)
+	}
+	return append(cells, extra...)
+}
+
+// gridTable is the family × size table of E1, E5, E11 and E12. It runs
+// sp, one protocol over families and sizes, through campaign.Run (which
+// validates every output) and renders one row per family: the mean at
+// each size, then the ratio column when one is given, then the scaling
+// law harness.BestLaw fits. It also returns each family's means, keyed
+// by name, for charts.
+func gridTable(sp campaign.Spec, title, head string, ratio *law) (*harness.Table, map[string][]float64, error) {
+	res, err := campaign.Run(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	extra := []string{"best fit"}
+	if ratio != nil {
+		extra = []string{ratio.header, "best fit"}
+	}
+	t := &harness.Table{Title: title, Header: append([]string{head}, sizeHeaders(sp.Sizes, extra...)...)}
+	chart := map[string][]float64{}
+	for _, f := range sp.Families {
+		ys := means(res, sp.Protocols[0], f)
+		var cells []any
+		if ratio != nil {
+			cells = append(cells, ys[len(ys)-1]/ratio.f(float64(sp.Sizes[len(sp.Sizes)-1])))
+		}
+		t.AddRow(row(f.Name(), ys, append(cells, harness.BestLaw(sp.Sizes, ys))...)...)
+		chart[f.Name()] = ys
+	}
+	return t, chart, nil
+}
+
+// expE2 runs the compiled MIS protocol asynchronously under every
+// adversary policy and reports normalized run-times. The adversary
+// enters no campaign seed, so every policy faces the same graphs and
+// protocol coins.
+func expE2(cfg config) ([]*harness.Table, error) {
+	sizes, trials := cfg.scale([]int{16, 32, 64}, []int{16, 32}, 3, 2)
 	t := &harness.Table{
 		Title:  "MIS asynchronous run-time (time units, compiled via CompileRound)",
 		Header: append([]string{"adversary"}, sizeHeaders(sizes, "TU/log²n @max")...),
 	}
-	for _, advName := range []string{"sync", "uniform", "skew", "overwriter", "drift"} {
-		adv := engine.NamedAdversaries(cfg.seed + 77)[advName]
-		row := []any{advName}
-		var last float64
-		for _, n := range sizes {
-			src := xrand.New(cfg.seed + uint64(n))
-			total := 0.0
-			for s := 0; s < trials; s++ {
-				g := graph.GnpConnected(n, 4.0/float64(n), src)
-				// Fast-stepping adversaries burn many machine steps
-				// re-polling inside the pausing feature; give them room.
-				run, err := mis.SolveAsync(g, cfg.seed+uint64(s), adv, 1<<30)
-				if err != nil {
-					return nil, err
-				}
-				if err := g.IsMaximalIndependentSet(run.InSet); err != nil {
-					return nil, fmt.Errorf("adversary %s n=%d: %w", advName, n, err)
-				}
-				total += run.TimeUnits
-			}
-			last = total / float64(trials)
-			row = append(row, last)
+	gnp := campaign.Family{Kind: "gnp", Param: campaign.Param(4)}
+	for _, adv := range []string{"sync", "uniform", "skew", "overwriter", "drift"} {
+		// Fast-stepping adversaries burn many machine steps re-polling
+		// inside the pausing feature; MaxSteps gives them room.
+		res, err := campaign.Run(campaign.Spec{
+			Name: "E2", Protocols: []string{"mis"}, Engine: "async", Adversary: adv, MaxSteps: 1 << 30,
+			Families: []campaign.Family{gnp}, GraphPerTrial: true, Sizes: sizes, Trials: trials, Seed: cfg.seed,
+		})
+		if err != nil {
+			return nil, err
 		}
-		l := math.Log2(float64(sizes[len(sizes)-1]))
-		row = append(row, last/(l*l))
-		t.AddRow(row...)
+		ys := means(res, "mis", gnp)
+		t.AddRow(row(adv, ys, ys[len(ys)-1]/log2sq(float64(sizes[len(sizes)-1])))...)
 	}
 	t.Notes = append(t.Notes,
 		"Time units follow the paper's measure: elapsed time over the largest adversary parameter used.",
@@ -156,12 +160,11 @@ func expE2(cfg config) ([]*harness.Table, error) {
 }
 
 // expE3 measures the synchronizer's constant-factor overhead: the
-// asynchronous time units per simulated synchronous round.
+// asynchronous time units per synchronous round. The engine enters no
+// campaign seed, so the sync and async runs replay the same graphs and
+// coins.
 func expE3(cfg config) ([]*harness.Table, error) {
-	sizes := []int{16, 32, 64, 128}
-	if cfg.quick {
-		sizes = []int{16, 32, 64}
-	}
+	sizes, trials := cfg.scale([]int{16, 32, 64, 128}, []int{16, 32, 64}, 3, 2)
 	t := &harness.Table{
 		Title:  "Synchronizer overhead: async time-units per synchronous round",
 		Header: append([]string{"protocol"}, sizeHeaders(sizes, "phase steps (analytic)")...),
@@ -169,38 +172,32 @@ func expE3(cfg config) ([]*harness.Table, error) {
 	protos := []struct {
 		name  string
 		proto *nfsm.RoundProtocol
-		gen   func(n int, src *xrand.Source) *graph.Graph
+		fam   campaign.Family
 	}{
-		{"mis", mis.Protocol(), func(n int, src *xrand.Source) *graph.Graph {
-			return graph.GnpConnected(n, 4.0/float64(n), src)
-		}},
-		{"color3", coloring.Protocol(), func(n int, src *xrand.Source) *graph.Graph {
-			return graph.RandomTree(n, src)
-		}},
+		{"mis", mis.Protocol(), campaign.Family{Kind: "gnp"}},
+		{"color3", coloring.Protocol(), campaign.Family{Kind: "tree"}},
 	}
 	for _, pr := range protos {
-		row := []any{pr.name}
-		var compiledSteps int
-		for _, n := range sizes {
-			src := xrand.New(cfg.seed + uint64(n) + 5)
-			g := pr.gen(n, src)
-			sres, err := engine.RunSync(pr.proto, g, engine.SyncConfig{Seed: cfg.seed})
-			if err != nil {
-				return nil, err
-			}
-			compiled, err := synchro.CompileRound(pr.proto)
-			if err != nil {
-				return nil, err
-			}
-			ares, err := engine.RunAsync(compiled, g, engine.AsyncConfig{Seed: cfg.seed})
-			if err != nil {
-				return nil, err
-			}
-			compiledSteps = compiled.PhaseSteps()
-			row = append(row, ares.TimeUnits/float64(sres.Rounds))
+		compiled, err := synchro.CompileRound(pr.proto)
+		if err != nil {
+			return nil, err
 		}
-		row = append(row, compiledSteps)
-		t.AddRow(row...)
+		var cost [2][]float64
+		for i, eng := range []string{"sync", "async"} {
+			res, err := campaign.Run(campaign.Spec{
+				Name: "E3", Protocols: []string{pr.name}, Engine: eng, Adversary: "sync",
+				Families: []campaign.Family{pr.fam}, Sizes: sizes, Trials: trials, Seed: cfg.seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			cost[i] = means(res, pr.name, pr.fam)
+		}
+		ratios := make([]float64, len(sizes))
+		for i := range ratios {
+			ratios[i] = cost[1][i] / cost[0][i]
+		}
+		t.AddRow(row(pr.name, ratios, compiled.PhaseSteps())...)
 	}
 	t.Notes = append(t.Notes,
 		"Theorem 3.1: the ratio is flat in n — the synchronizer costs a constant factor,",
@@ -245,16 +242,16 @@ func expE4(cfg config) ([]*harness.Table, error) {
 	}
 	const trials = 8
 	for _, pr := range protos {
+		exp, err := synchro.Expand(pr.proto)
+		if err != nil {
+			return nil, err
+		}
 		for _, n := range sizes {
 			src := xrand.New(cfg.seed + uint64(n) + 9)
 			g := pr.gen(n, src)
 			var directMean, expandedMean float64
 			for s := uint64(0); s < trials; s++ {
 				direct, err := engine.RunSync(pr.proto, g, engine.SyncConfig{Seed: cfg.seed + s})
-				if err != nil {
-					return nil, err
-				}
-				exp, err := synchro.Expand(pr.proto)
 				if err != nil {
 					return nil, err
 				}
@@ -278,52 +275,22 @@ func expE4(cfg config) ([]*harness.Table, error) {
 	return []*harness.Table{t}, nil
 }
 
-// expE5 measures the tree 3-coloring round count across tree families,
-// as a campaign sweep (see expE1).
+// expE5 measures the tree 3-coloring round count across tree families
+// (see expE1).
 func expE5(cfg config) ([]*harness.Table, error) {
-	sizes := harness.GeoSizes(16, 8192, 2)
-	trials := 5
-	if cfg.quick {
-		sizes = harness.GeoSizes(16, 512, 2)
-		trials = 3
-	}
-	sp := campaign.Spec{
+	sizes, trials := cfg.scale(harness.GeoSizes(16, 8192, 2), harness.GeoSizes(16, 512, 2), 5, 3)
+	t, chart, err := gridTable(campaign.Spec{
 		Name:          "E5",
 		Protocols:     []string{"color3"},
-		GraphPerTrial: true, // see expE1
+		GraphPerTrial: true,
 		Families: []campaign.Family{
-			{Kind: "tree", Label: "random"},
-			{Kind: "path"},
-			{Kind: "star"},
-			{Kind: "binary"},
-			{Kind: "caterpillar"},
-			{Kind: "broom"},
+			{Kind: "tree", Label: "random"}, {Kind: "path"}, {Kind: "star"},
+			{Kind: "binary"}, {Kind: "caterpillar"}, {Kind: "broom"},
 		},
-		Sizes:  sizes,
-		Trials: trials,
-		Seed:   cfg.seed + 3,
-	}
-	res, err := campaign.Run(sp)
+		Sizes: sizes, Trials: trials, Seed: cfg.seed + 3,
+	}, "Mean 3-coloring rounds on trees (synchronous engine)", "family", &law{"rounds/log n @max", math.Log2})
 	if err != nil {
 		return nil, err
-	}
-	t := &harness.Table{
-		Title:  "Mean 3-coloring rounds on trees (synchronous engine)",
-		Header: append([]string{"family"}, sizeHeaders(sizes, "rounds/log n @max", "best fit")...),
-	}
-	chart := map[string][]float64{}
-	for _, fam := range sp.Families {
-		row := []any{fam.Name()}
-		var ys []float64
-		for _, n := range sizes {
-			mean := res.Lookup(sp.Protocols[0], fam.Name(), n).Rounds.Mean
-			ys = append(ys, mean)
-			row = append(row, mean)
-		}
-		row = append(row, ys[len(ys)-1]/math.Log2(float64(sizes[len(sizes)-1])),
-			harness.BestLaw(sizes, ys))
-		chart[fam.Name()] = ys
-		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		harness.ASCIIChart("3-coloring rounds vs n (trees)", sizes, chart, 64, 14),
@@ -528,106 +495,53 @@ func palSymbols(s string) []lba.Symbol {
 }
 
 // expE10 compares the classical baselines against the nFSM MIS and
-// coloring protocols.
+// coloring protocols. Every protocol of a spec sees the same graph
+// instances (graph seeds do not depend on the protocol).
 func expE10(cfg config) ([]*harness.Table, error) {
-	sizes := []int{64, 256, 1024}
-	trials := 3
-	if cfg.quick {
-		sizes = []int{64, 256}
-		trials = 2
+	sizes, trials := cfg.scale([]int{64, 256, 1024}, []int{64, 256}, 3, 2)
+	algos := []struct{ proto, label, model string }{
+		{"luby", "Luby", "LOCAL"},
+		{"abi", "Alon-Babai-Itai", "LOCAL"},
+		{"bitstream", "bit-stream (Métivier)", "O(1)-bit msgs"},
+		{"beeping", "beeping (Afek et al.)", "beeping"},
+		{"mis", "nFSM (this paper)", "nFSM"},
+	}
+	gnp := campaign.Family{Kind: "gnp", Param: campaign.Param(8)}
+	sp := campaign.Spec{Name: "E10", Families: []campaign.Family{gnp}, GraphPerTrial: true, MaxRounds: 1 << 20,
+		Sizes: sizes, Trials: trials, Seed: cfg.seed}
+	for _, a := range algos {
+		sp.Protocols = append(sp.Protocols, a.proto)
+	}
+	res, err := campaign.Run(sp)
+	if err != nil {
+		return nil, err
 	}
 	t := &harness.Table{
 		Title:  "MIS rounds: classical models vs nFSM (G(n, d̄=8))",
 		Header: append([]string{"algorithm"}, sizeHeaders(sizes, "model")...),
 	}
-	type algo struct {
-		name  string
-		model string
-		run   func(g *graph.Graph, seed uint64) (float64, error)
-	}
-	algos := []algo{
-		{"Luby", "LOCAL", func(g *graph.Graph, seed uint64) (float64, error) {
-			inSet, rounds, err := baseline.LubyMIS(g, seed, 0)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rounds), g.IsMaximalIndependentSet(inSet)
-		}},
-		{"Alon-Babai-Itai", "LOCAL", func(g *graph.Graph, seed uint64) (float64, error) {
-			inSet, rounds, err := baseline.ABIMIS(g, seed, 0)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rounds), g.IsMaximalIndependentSet(inSet)
-		}},
-		{"bit-stream (Métivier)", "O(1)-bit msgs", func(g *graph.Graph, seed uint64) (float64, error) {
-			inSet, rounds, err := baseline.BitStreamMIS(g, seed, 1<<20)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rounds), g.IsMaximalIndependentSet(inSet)
-		}},
-		{"beeping (Afek et al.)", "beeping", func(g *graph.Graph, seed uint64) (float64, error) {
-			inSet, rounds, err := baseline.BeepMIS(g, seed, 1<<20)
-			if err != nil {
-				return 0, err
-			}
-			return float64(rounds), g.IsMaximalIndependentSet(inSet)
-		}},
-		{"nFSM (this paper)", "nFSM", func(g *graph.Graph, seed uint64) (float64, error) {
-			run, err := mis.SolveSync(g, seed, 0)
-			if err != nil {
-				return 0, err
-			}
-			return float64(run.Rounds), g.IsMaximalIndependentSet(run.InSet)
-		}},
-	}
-	perAlgo := map[string][]float64{}
 	for _, a := range algos {
-		row := []any{a.name}
-		for _, n := range sizes {
-			src := xrand.New(cfg.seed + uint64(n) + 21)
-			total := 0.0
-			for s := 0; s < trials; s++ {
-				g := graph.GnpConnected(n, 8.0/float64(n), src)
-				rounds, err := a.run(g, cfg.seed+uint64(s))
-				if err != nil {
-					return nil, fmt.Errorf("%s n=%d: %w", a.name, n, err)
-				}
-				total += rounds
-			}
-			mean := total / float64(trials)
-			perAlgo[a.name] = append(perAlgo[a.name], mean)
-			row = append(row, mean)
-		}
-		row = append(row, a.model)
-		t.AddRow(row...)
+		t.AddRow(row(a.label, means(res, a.proto, gnp), a.model)...)
 	}
-	ratio := perAlgo["nFSM (this paper)"][len(sizes)-1] / perAlgo["Luby"][len(sizes)-1]
+	atN := func(p string) float64 { return res.Lookup(p, gnp.Name(), sizes[len(sizes)-1]).Rounds.Mean }
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("At n=%d the nFSM protocol pays a factor of %.1f over Luby — the expected Θ(log n) price",
-			sizes[len(sizes)-1], ratio),
+			sizes[len(sizes)-1], atN("mis")/atN("luby")),
 		"for constant-size states and messages (O(log² n) vs O(log n) rounds). All outputs validated.")
 
 	// Coloring side: Cole–Vishkin on directed paths vs nFSM on paths.
+	path := campaign.Family{Kind: "path"}
+	sp.Protocols, sp.Families = []string{"colevishkin", "color3"}, []campaign.Family{path}
+	if res, err = campaign.Run(sp); err != nil {
+		return nil, err
+	}
 	t2 := &harness.Table{
 		Title:  "3-coloring rounds on paths: Cole–Vishkin (directed) vs nFSM (undirected)",
 		Header: []string{"n", "Cole-Vishkin rounds", "nFSM rounds"},
 	}
-	for _, n := range sizes {
-		g := graph.Path(n)
-		colors, cvRounds, err := baseline.ColeVishkinPath(g, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.IsProperColoring(colors, 3); err != nil {
-			return nil, err
-		}
-		run, err := coloring.SolveSync(g, cfg.seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		t2.AddRow(n, cvRounds, run.Rounds)
+	cv, c3 := means(res, "colevishkin", path), means(res, "color3", path)
+	for i, n := range sizes {
+		t2.AddRow(n, cv[i], c3[i])
 	}
 	t2.Notes = append(t2.Notes,
 		"Cole–Vishkin needs identifiers and an orientation (O(log* n) rounds); the nFSM protocol needs",
@@ -637,46 +551,17 @@ func expE10(cfg config) ([]*harness.Table, error) {
 
 // expE11 exercises the extended-model maximal matching.
 func expE11(cfg config) ([]*harness.Table, error) {
-	sizes := harness.GeoSizes(16, 1024, 4)
-	trials := 3
-	if cfg.quick {
-		sizes = harness.GeoSizes(16, 256, 4)
-		trials = 2
-	}
-	t := &harness.Table{
-		Title:  "Maximal matching rounds under the extended nFSM model",
-		Header: append([]string{"family"}, sizeHeaders(sizes, "best fit")...),
-	}
-	fams := []graphFamily{
-		{"gnp(d̄=4)", func(n int, src *xrand.Source) *graph.Graph {
-			return graph.GnpConnected(n, 4.0/float64(n), src)
-		}},
-		{"tree", func(n int, src *xrand.Source) *graph.Graph { return graph.RandomTree(n, src) }},
-		{"cycle", func(n int, src *xrand.Source) *graph.Graph { return graph.Cycle(n) }},
-	}
-	for _, fam := range fams {
-		src := xrand.New(cfg.seed + 31)
-		row := []any{fam.name}
-		var ys []float64
-		for _, n := range sizes {
-			total := 0.0
-			for s := 0; s < trials; s++ {
-				g := fam.gen(n, src)
-				res, err := matching.Solve(g, cfg.seed+uint64(s), 0)
-				if err != nil {
-					return nil, err
-				}
-				if err := g.IsMaximalMatching(res.Mate); err != nil {
-					return nil, fmt.Errorf("%s n=%d: %w", fam.name, n, err)
-				}
-				total += float64(res.Rounds)
-			}
-			mean := total / float64(trials)
-			ys = append(ys, mean)
-			row = append(row, mean)
-		}
-		row = append(row, harness.BestLaw(sizes, ys))
-		t.AddRow(row...)
+	sizes, trials := cfg.scale(harness.GeoSizes(16, 1024, 4), harness.GeoSizes(16, 256, 4), 3, 2)
+	t, _, err := gridTable(campaign.Spec{
+		Name:      "E11",
+		Protocols: []string{"matching"},
+		Families: []campaign.Family{
+			{Kind: "gnp", Param: campaign.Param(4), Label: "gnp(d̄=4)"}, {Kind: "tree"}, {Kind: "cycle"},
+		},
+		GraphPerTrial: true, Sizes: sizes, Trials: trials, Seed: cfg.seed,
+	}, "Maximal matching rounds under the extended nFSM model", "family", nil)
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"The paper notes maximal matching needs a small model extension (here: targeted replies +",

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"math"
 
-	"stoneage/internal/baseline"
-	"stoneage/internal/coloring"
-	"stoneage/internal/degcolor"
+	"stoneage/internal/campaign"
 	"stoneage/internal/graph"
 	"stoneage/internal/harness"
 	"stoneage/internal/mis"
@@ -14,54 +11,20 @@ import (
 )
 
 // expE12 measures the bounded-degree (Δ+1)-coloring extension.
+// degcolor derives its degree bound Δ from each graph.
 func expE12(cfg config) ([]*harness.Table, error) {
-	sizes := harness.GeoSizes(16, 4096, 4)
-	trials := 3
-	if cfg.quick {
-		sizes = harness.GeoSizes(16, 256, 4)
-		trials = 2
-	}
-	t := &harness.Table{
-		Title:  "(Δ+1)-coloring rounds under the pure nFSM model (bounded degree)",
-		Header: append([]string{"family (Δ)"}, sizeHeaders(sizes, "best fit")...),
-	}
-	fams := []struct {
-		name   string
-		maxDeg int
-		gen    func(n int, src *xrand.Source) *graph.Graph
-	}{
-		{"cycle (2)", 2, func(n int, src *xrand.Source) *graph.Graph { return graph.Cycle(n) }},
-		{"torus (4)", 4, func(n int, src *xrand.Source) *graph.Graph {
-			side := int(math.Round(math.Sqrt(float64(n))))
-			return graph.Torus(side, side)
-		}},
-		{"near-regular (5)", 5, func(n int, src *xrand.Source) *graph.Graph {
-			return graph.NearRegular(n, 5, src)
-		}},
-	}
-	for _, fam := range fams {
-		src := xrand.New(cfg.seed + 41)
-		row := []any{fam.name}
-		var ys []float64
-		for _, n := range sizes {
-			total := 0.0
-			for s := 0; s < trials; s++ {
-				g := fam.gen(n, src)
-				run, err := degcolor.SolveSync(g, fam.maxDeg, cfg.seed+uint64(s), 0)
-				if err != nil {
-					return nil, err
-				}
-				if err := g.IsProperColoring(run.Colors, fam.maxDeg+1); err != nil {
-					return nil, fmt.Errorf("%s n=%d: %w", fam.name, n, err)
-				}
-				total += float64(run.Rounds)
-			}
-			mean := total / float64(trials)
-			ys = append(ys, mean)
-			row = append(row, mean)
-		}
-		row = append(row, harness.BestLaw(sizes, ys))
-		t.AddRow(row...)
+	sizes, trials := cfg.scale(harness.GeoSizes(16, 4096, 4), harness.GeoSizes(16, 256, 4), 3, 2)
+	t, _, err := gridTable(campaign.Spec{
+		Name:      "E12",
+		Protocols: []string{"degcolor"},
+		Families: []campaign.Family{
+			{Kind: "cycle", Label: "cycle (2)"}, {Kind: "torus", Label: "torus (4)"},
+			{Kind: "nearregular", Label: "near-regular (5)"},
+		},
+		GraphPerTrial: true, Sizes: sizes, Trials: trials, Seed: cfg.seed,
+	}, "(Δ+1)-coloring rounds under the pure nFSM model (bounded degree)", "family (Δ)", nil)
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes,
 		"Extension beyond Section 5: with Δ a universal constant, requirement (M4) admits a",
@@ -72,34 +35,24 @@ func expE12(cfg config) ([]*harness.Table, error) {
 // expE13 contrasts 2-coloring (Θ(diameter), even with unbounded
 // messages) against the paper's O(log n) 3-coloring on trees.
 func expE13(cfg config) ([]*harness.Table, error) {
-	sizes := harness.GeoSizes(32, 2048, 4)
-	if cfg.quick {
-		sizes = harness.GeoSizes(32, 512, 4)
+	sizes, trials := cfg.scale(harness.GeoSizes(32, 2048, 4), harness.GeoSizes(32, 512, 4), 3, 2)
+	path := campaign.Family{Kind: "path"}
+	res, err := campaign.Run(campaign.Spec{Name: "E13", Protocols: []string{"twocolor", "color3"},
+		Families: []campaign.Family{path}, Sizes: sizes, Trials: trials, Seed: cfg.seed})
+	if err != nil {
+		return nil, err
 	}
 	t := &harness.Table{
 		Title:  "2 colors vs 3 colors on paths (rounds)",
 		Header: []string{"n", "diameter", "2-color (LOCAL BFS)", "3-color (nFSM)", "2-color/diam", "3-color/log n"},
 	}
-	for _, n := range sizes {
-		g := graph.Path(n)
-		diam, err := g.Diameter()
+	two, three := means(res, "twocolor", path), means(res, "color3", path)
+	for i, n := range sizes {
+		diam, err := graph.Path(n).Diameter()
 		if err != nil {
 			return nil, err
 		}
-		colors2, rounds2, err := baseline.TwoColorTree(g, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.IsProperColoring(colors2, 2); err != nil {
-			return nil, err
-		}
-		run3, err := coloring.SolveSync(g, cfg.seed, 0)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(n, diam, rounds2, run3.Rounds,
-			float64(rounds2)/float64(diam),
-			float64(run3.Rounds)/math.Log2(float64(n)))
+		t.AddRow(n, diam, two[i], three[i], two[i]/float64(diam), three[i]/math.Log2(float64(n)))
 	}
 	t.Notes = append(t.Notes,
 		"Section 5's opening remark: 2-coloring takes Θ(diameter) rounds even in the message-passing",

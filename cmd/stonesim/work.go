@@ -22,7 +22,9 @@ import (
 // cell is done, stealing claims that peers stopped renewing.
 // SIGINT/SIGTERM releases the in-flight claim and stops at the next
 // trial boundary; every finished cell is already fsync'd in this
-// worker's spill file.
+// worker's spill file. The worker then dies by the signal it caught, so
+// a parent sweep treats it like any worker killed by a signal: it
+// releases the worker's claims and its live peers carry on.
 func runWork(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("stonesim work", flag.ContinueOnError)
 	workdir := fs.String("workdir", "", "sweep work directory (required)")
@@ -54,6 +56,10 @@ func runWork(args []string, w io.Writer) error {
 		opts.Spec = &sp
 	}
 
+	// caught receives the stopping signal too, so it can be re-raised.
+	caught := make(chan os.Signal, 1)
+	signal.Notify(caught, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(caught)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -62,6 +68,7 @@ func runWork(args []string, w io.Writer) error {
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "worker interrupted: %d finished cells are durable in %s; the in-flight cell was released\n", ran, *workdir)
+			reraise(<-caught)
 		}
 		return err
 	}
@@ -69,4 +76,14 @@ func runWork(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "worker done: %d cells in %v\n", ran, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// reraise restores sig's default action and sends it to this process,
+// which then dies by it; a caller that was not killed gets control back
+// after a grace period.
+func reraise(sig os.Signal) {
+	signal.Reset(sig)
+	if p, err := os.FindProcess(os.Getpid()); err == nil && p.Signal(sig) == nil {
+		time.Sleep(time.Second)
+	}
 }

@@ -203,6 +203,7 @@ func TestSpecValidation(t *testing.T) {
 		{"relabeled duplicate family", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "gnp"}, {Kind: "gnp", Label: "gnp-2"}}, Sizes: []int{8}, Trials: 1}, "duplicate family"},
 		{"duplicate size", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "gnp"}}, Sizes: []int{8, 8}, Trials: 1}, "duplicate size"},
 		{"fractional powerlaw m", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "powerlaw", Param: Param(2.5)}}, Sizes: []int{8}, Trials: 1}, "positive integer"},
+		{"zero nearregular degree", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "nearregular", Param: Param(0)}}, Sizes: []int{8}, Trials: 1}, "degree bound must be a positive integer"},
 		{"smallworld beta > 1", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "smallworld", Param: Param(1.5)}}, Sizes: []int{8}, Trials: 1}, "[0,1]"},
 		{"negative gnp degree", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "gnp", Param: Param(-1)}}, Sizes: []int{8}, Trials: 1}, "positive"},
 		{"param on parameterless kind", Spec{Protocols: []string{"mis"}, Families: []Family{{Kind: "cycle", Param: Param(7)}}, Sizes: []int{8}, Trials: 1}, "takes no parameter"},

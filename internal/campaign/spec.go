@@ -12,7 +12,7 @@
 //
 // The paper's claims are statistical — round counts are expectations
 // over coins, graphs and schedules — and a campaign is the unit at
-// which those expectations are measured: every table of
+// which those expectations are measured: every protocol-grid table of
 // cmd/experiments is a campaign, and `stonesim sweep -spec file.json`
 // runs one from the command line.
 package campaign
@@ -110,6 +110,15 @@ func positiveParam(what string) func(float64) error {
 	}
 }
 
+func positiveIntParam(what string) func(float64) error {
+	return func(p float64) error {
+		if p < 1 || p != math.Trunc(p) {
+			return fmt.Errorf("%s must be a positive integer, got %g", what, p)
+		}
+		return nil
+	}
+}
+
 var familyDefs = map[string]familyDef{
 	"gnp": {defaultParam: 4, paramCheck: positiveParam("mean degree"), build: func(n int, p float64, src *xrand.Source) *graph.Graph {
 		return graph.GnpConnected(n, p/float64(n), src)
@@ -117,13 +126,11 @@ var familyDefs = map[string]familyDef{
 	"geometric": {defaultParam: 1.5, paramCheck: positiveParam("radius multiplier"), build: func(n int, c float64, src *xrand.Source) *graph.Graph {
 		return graph.RandomGeometric(n, graph.GeometricRadius(n, c), src)
 	}},
-	"powerlaw": {defaultParam: 3, paramCheck: func(p float64) error {
-		if p < 1 || p != math.Trunc(p) {
-			return fmt.Errorf("attachment count must be a positive integer, got %g", p)
-		}
-		return nil
-	}, build: func(n int, m float64, src *xrand.Source) *graph.Graph {
+	"powerlaw": {defaultParam: 3, paramCheck: positiveIntParam("attachment count"), build: func(n int, m float64, src *xrand.Source) *graph.Graph {
 		return graph.PreferentialAttachment(n, int(m), src)
+	}},
+	"nearregular": {defaultParam: 5, paramCheck: positiveIntParam("degree bound"), build: func(n int, d float64, src *xrand.Source) *graph.Graph {
+		return graph.NearRegular(n, int(d), src)
 	}},
 	"smallworld": {defaultParam: 0.1, paramCheck: func(p float64) error {
 		if p < 0 || p > 1 {
