@@ -41,9 +41,9 @@ test:
 # then the one asynchronous event loop (parking across scenario batches
 # and in channel and voted runs, the synchronizer tiers) against the
 # asynchronous reference engine.
-# stonebench/ is a module of its own, so `go test ./...` never builds
-# it; its self-test runs here so an engine API change cannot break the
-# benchmark unnoticed.
+# stonebench/ is a module of its own, so `go vet ./...` and
+# `go test ./...` never reach it; it is vetted and its self-test runs
+# here so an engine API change cannot break the benchmark unnoticed.
 # The final block is the distributed-sweep gate, on one stonesim build:
 # the smoke spec sharded over 3 worker processes (a fresh work
 # directory, real re-exec'd `stonesim work` workers) must emit JSON and
@@ -62,6 +62,7 @@ check: build
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s
+	go -C stonebench vet .
 	go -C stonebench test .
 	go run ./cmd/stonesim sweep -spec examples/specs/smoke.json -q -json /tmp/stonesim-smoke.json
 	go run ./cmd/stonesim sweep -spec examples/specs/all-protocols.json -q

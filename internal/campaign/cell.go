@@ -180,13 +180,22 @@ func Merge(sp Spec, cells map[string]CellResult) (*Result, error) {
 // Lookup returns the cell with the given protocol, family display name
 // and size, or nil. It resolves the most common consumer pattern —
 // single-axis sweeps addressed by their human coordinates — without
-// depending on the canonical cell order.
+// depending on the canonical cell order. On a spec whose engines,
+// scenarios or channels axis gives those coordinates several cells it
+// panics, naming them: returning one of them would attribute its
+// numbers to the others.
 func (r *Result) Lookup(protocol, family string, size int) *CellResult {
+	var hit *CellResult
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		if c.Protocol == protocol && c.Family == family && c.Size == size {
-			return c
+		if c.Protocol != protocol || c.Family != family || c.Size != size {
+			continue
 		}
+		if hit != nil {
+			panic(fmt.Sprintf("campaign: Lookup(%q, %q, %d) is ambiguous: cells (engine %q, scenario %q, channel %q) and (engine %q, scenario %q, channel %q) both match",
+				protocol, family, size, hit.Engine, hit.Scenario, hit.Channel, c.Engine, c.Scenario, c.Channel))
+		}
+		hit = c
 	}
-	return nil
+	return hit
 }

@@ -345,3 +345,30 @@ func TestEngineAxisValidation(t *testing.T) {
 		t.Fatalf("sync-packed with baseline axes rejected: %v", err)
 	}
 }
+
+// TestLookupAmbiguousPanics pins that Lookup refuses to pick among the
+// cells of an engines axis: (protocol, family, size) names two cells
+// here, and the panic names both engines.
+func TestLookupAmbiguousPanics(t *testing.T) {
+	res, err := Run(Spec{
+		Name:      "test-lookup",
+		Protocols: []string{"mis"},
+		Engines:   []string{"sync", "async"},
+		Families:  []Family{{Kind: "cycle"}},
+		Sizes:     []int{12},
+		Trials:    1,
+		Seed:      5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := res.Cells[0].Family
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "ambiguous") || !strings.Contains(msg, `"sync"`) || !strings.Contains(msg, `"async"`) {
+			t.Fatalf("Lookup on a two-engine spec: recovered %q, want an ambiguity panic naming both engines", msg)
+		}
+	}()
+	c := res.Lookup("mis", fam, 12)
+	t.Fatalf("Lookup returned the %q cell instead of panicking", c.Engine)
+}

@@ -62,3 +62,22 @@ func DynamicFallback(p *nfsm.Protocol) *nfsm.RoundProtocol {
 		},
 	}
 }
+
+// SinkStates lists the states the packed lowering marks as sinks.
+func SinkStates(c *MachineCode) []nfsm.State {
+	var out []nfsm.State
+	pc := c.packedCode()
+	for q := 0; pc.ok && q < c.nq; q++ {
+		if pc.sink[q>>6]>>(uint(q)&63)&1 == 1 {
+			out = append(out, nfsm.State(q))
+		}
+	}
+	return out
+}
+
+// AutoPacked reports whether an empty SyncConfig.Backend selects the
+// bit-plane kernel for a static run of p.
+func AutoPacked(p *Program) bool {
+	packed, _ := p.packedBackend("", false)
+	return packed
+}

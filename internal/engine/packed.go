@@ -14,9 +14,11 @@ import (
 // state as structure-of-arrays bit-planes, 64 nodes per word: state
 // planes, last-emission planes (every out-port of v holds v's last
 // non-ε emission, so the 2m-entry port array collapses to a per-node
-// letter), exact-count planes per letter (ripple-carry increments,
-// clamped word-parallel by threshold masks), and a stability plane that
-// skips nodes whose next evaluation is provably a lone silent self-loop
+// letter), exact counts per letter (one contiguous block per letter and
+// word, updated by a fixed-depth ripple and clamped word-parallel by
+// threshold masks), a stability plane that skips nodes whose next
+// evaluation is provably a lone silent self-loop, and a sink plane of
+// nodes that can never change again, whose counts are no longer kept
 // (DESIGN.md, "Bit-plane execution"). nfsm.PickMove is a stateless hash
 // of (seed, node, round) and a skipped node's step is a no-op, so the
 // kernel is bit-identical to the flat one at every worker count
@@ -54,6 +56,10 @@ type packedCode struct {
 	// nothing. A node whose upcoming (state, clamped counts) maps to a
 	// settled entry is skipped until a delivery disturbs its counts.
 	settled []uint64
+	// sink is a bitset over states: q is set when every δ entry of q is
+	// settled, so a node in q never moves, emits or reads its counts
+	// again (MIS: WIN and LOSE).
+	sink []uint64
 }
 
 // packedCode returns the lazily built packed lowering.
@@ -81,10 +87,16 @@ func buildPackedCode(c *MachineCode) *packedCode {
 	pc.wQ = planeWidth(c.nq)
 	pc.wE = planeWidth(c.nl)
 	pc.settled = make([]uint64, (len(c.delta)+63)/64)
+	pc.sink = make([]uint64, (c.nq+63)/64)
+	for q := 0; q < c.nq; q++ {
+		pc.sink[q>>6] |= 1 << (uint(q) & 63)
+	}
 	for e, row := range c.delta {
-		q := nfsm.State(e / c.pdim)
-		if len(row) > 0 && settles(q, row[0], len(row)) {
+		q := e / c.pdim
+		if len(row) > 0 && settles(nfsm.State(q), row[0], len(row)) {
 			pc.settled[e>>6] |= 1 << (uint(e) & 63)
+		} else {
+			pc.sink[q>>6] &^= 1 << (uint(q) & 63)
 		}
 	}
 	pc.ok = true
@@ -122,9 +134,10 @@ type packedScratch struct {
 	planeBuf []uint64
 	stP      [][]uint64 // state planes
 	leP      [][]uint64 // last-emission planes
-	cnt      [][]uint64 // count planes; letter l plane j at l*wC+j
+	cnt      []uint64   // count blocks: bit j of letter l, word w at (l*nw+w)*wC+j
 	stable   []uint64
-	tail     uint64 // valid-lane mask of the last word
+	sink     []uint64 // nodes in a sink state; their counts go stale
+	tail     uint64   // valid-lane mask of the last word
 
 	// Per-worker buffers: changed-emission lists, per-letter clamped-count
 	// words, and route buckets (see routeBuckets).
@@ -164,7 +177,7 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 	}
 	ps.nw, ps.nl, ps.wQ, ps.wE, ps.wC = nw, p.nl, pc.wQ, pc.wE, wC
 
-	planes := pc.wQ + pc.wE + p.nl*wC + 1
+	planes := pc.wQ + pc.wE + p.nl*wC + 2
 	need := planes * nw
 	if cap(ps.planeBuf) < need {
 		ps.planeBuf = make([]uint64, need)
@@ -183,8 +196,9 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 	}
 	ps.stP = slice(pc.wQ)
 	ps.leP = slice(pc.wE)
-	ps.cnt = slice(p.nl * wC)
-	ps.stable = buf[:nw:nw]
+	nc := p.nl * wC * nw
+	ps.cnt, buf = buf[:nc:nc], buf[nc:]
+	ps.stable, ps.sink = buf[:nw:nw], buf[nw:2*nw:2*nw]
 
 	ps.tail = ^uint64(0)
 	if r := n & 63; r != 0 {
@@ -218,38 +232,18 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 		if deg == 0 {
 			continue
 		}
-		w, bit := v>>6, uint64(1)<<(uint(v)&63)
-		for j := 0; j < wC; j++ {
-			if deg>>j&1 == 1 {
-				ps.cnt[init*wC+j][w] |= bit
-			}
+		blk := ps.countBlock(init, v>>6)
+		for j := range blk {
+			blk[j] |= uint64(deg>>j&1) << (uint(v) & 63)
 		}
 	}
 }
 
-// countInc adds one to node u's count of letter l (single-lane
-// ripple-carry across the letter's planes).
-func (ps *packedScratch) countInc(l int, u int32) {
-	w, carry := int(u>>6), uint64(1)<<(uint(u)&63)
-	base := l * ps.wC
-	for j := 0; j < ps.wC && carry != 0; j++ {
-		pl := ps.cnt[base+j]
-		old := pl[w]
-		pl[w] = old ^ carry
-		carry &= old
-	}
-}
-
-// countDec subtracts one from node u's count of letter l.
-func (ps *packedScratch) countDec(l int, u int32) {
-	w, borrow := int(u>>6), uint64(1)<<(uint(u)&63)
-	base := l * ps.wC
-	for j := 0; j < ps.wC && borrow != 0; j++ {
-		pl := ps.cnt[base+j]
-		old := pl[w]
-		pl[w] = old ^ borrow
-		borrow &^= old
-	}
+// countBlock returns the wC count words of letter l for plane word w,
+// bit j of the count first.
+func (ps *packedScratch) countBlock(l, w int) []uint64 {
+	i := (l*ps.nw + w) * ps.wC
+	return ps.cnt[i : i+ps.wC : i+ps.wC]
 }
 
 // decodeStates gathers the state planes back into a state vector.
@@ -291,25 +285,29 @@ func (e *packedKernel) decode(states []nfsm.State) { e.ps.decodeStates(states) }
 
 // compute evaluates every live node of the word range [loW, hiW). Per
 // live word it derives every letter's clamped count for all 64 lanes by
-// threshold masks over the count planes (ge1 = any plane set; ge2 = any
-// plane ≥ 1 set; ge3 = any plane ≥ 2 set, or planes 1 and 0 both set),
-// then walks the live lanes: the same δ rows and PickMove coin as the
-// flat kernel, the state change applied to the planes, a changed
+// threshold masks over the letter's count block (ge1 = any bit set;
+// ge2 = any bit ≥ 1 set; ge3 = any bit ≥ 2 set, or bits 1 and 0 both
+// set), loads the word's state and emission planes into locals, and
+// walks the live lanes: the same δ rows and PickMove coin as the flat
+// kernel, the new state and emission masked into the locals, a changed
 // emission recorded. A node whose upcoming observation (counts are
-// frozen during compute) hits the settled bitset sets its stability
-// bit and is skipped until a delivery disturbs its counts.
+// frozen during compute) hits the settled bitset gets its stability bit
+// and is skipped until a delivery disturbs its counts; a node entering
+// a sink state gets its sink bit. The locals are written back once per
+// word.
 func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 	p, pc, ps := e.p, e.pc, e.ps
 	seed := e.seed
 	mask := p.outMask
 	emitters := ps.emits[worker][:0]
 	defer func() { ps.emits[worker] = emitters }()
-	c0, c1 := ps.cw0[worker], ps.cw1[worker]
+	nl, b := ps.nl, p.b
+	c0, c1, pow := ps.cw0[worker][:nl], ps.cw1[worker][:nl], p.pow[:nl]
 	var tx int64
 	var outDelta int
 	live := false
-	nl, b := ps.nl, p.b
-	wC, wQ, wE := ps.wC, ps.wQ, ps.wE
+	var stBuf, emBuf [16]uint64 // the word's state and emission plane words (wQ, wE ≤ 15)
+	st, em := stBuf[:ps.wQ], emBuf[:ps.wE]
 
 	for w := loW; w < hiW; w++ {
 		act := ^ps.stable[w]
@@ -322,48 +320,43 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 		live = true
 		// Word-parallel clamped counts for every letter.
 		for l := 0; l < nl; l++ {
-			base := l * wC
-			ge1 := ps.cnt[base][w]
-			var ge2 uint64
-			for j := 1; j < wC; j++ {
-				pl := ps.cnt[base+j][w]
-				ge1 |= pl
-				ge2 |= pl
+			blk := ps.countBlock(l, w)
+			var ge2, ge3 uint64
+			if len(blk) >= 2 {
+				for _, x := range blk[2:] {
+					ge3 |= x
+				}
+				ge2 = blk[1] | ge3
+				ge3 |= blk[1] & blk[0]
 			}
+			ge1 := blk[0] | ge2
 			switch b {
 			case 1:
-				c0[l] = ge1
+				c0[l], c1[l] = ge1, 0
 			case 2:
-				c0[l] = ge1 ^ ge2
-				c1[l] = ge2
+				c0[l], c1[l] = ge1^ge2, ge2
 			default: // b == 3
-				var hi uint64
-				for j := 2; j < wC; j++ {
-					hi |= ps.cnt[base+j][w]
-				}
-				ge3 := hi
-				if wC >= 2 {
-					ge3 |= ps.cnt[base+1][w] & ps.cnt[base][w]
-				}
-				c0[l] = (ge1 ^ ge2) | ge3
-				c1[l] = ge2
+				c0[l], c1[l] = (ge1^ge2)|ge3, ge2
 			}
 		}
+		for j := range st {
+			st[j] = ps.stP[j][w]
+		}
+		for j := range em {
+			em[j] = ps.leP[j][w]
+		}
+		var stab, sink uint64
 		for a := act; a != 0; a &= a - 1 {
 			i := uint(bits.TrailingZeros64(a))
 			v := w<<6 | int(i)
 			bit := uint64(1) << i
 			q := 0
-			for j := 0; j < wQ; j++ {
-				q |= int(ps.stP[j][w]>>i&1) << j
+			for j, x := range st {
+				q |= int(x>>i&1) << j
 			}
 			idx := uint64(0)
-			for l := 0; l < nl; l++ {
-				cc := c0[l] >> i & 1
-				if b >= 2 {
-					cc |= (c1[l] >> i & 1) << 1
-				}
-				idx += cc * p.pow[l]
+			for l, x := range c0 {
+				idx += (x>>i&1 | (c1[l]>>i&1)<<1) * pow[l]
 			}
 			eIdx := q*p.pdim + int(idx)
 			row := p.delta[eIdx]
@@ -372,38 +365,35 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 			}
 			mv := nfsm.PickMove(seed, v, round, row)
 			nq2 := int(mv.Next)
-			if nq2 != q {
-				outDelta += int(mask[nq2>>6]>>(uint(nq2)&63)&1) - int(mask[q>>6]>>(uint(q)&63)&1)
-				for j := 0; j < wQ; j++ {
-					if nq2>>j&1 == 1 {
-						ps.stP[j][w] |= bit
-					} else {
-						ps.stP[j][w] &^= bit
-					}
-				}
+			outDelta += int(mask[nq2>>6]>>(uint(nq2)&63)&1) - int(mask[q>>6]>>(uint(q)&63)&1)
+			for j, x := range st {
+				st[j] = x&^bit | uint64(nq2>>j&1)<<i
 			}
 			if mv.Emit != nfsm.NoLetter {
 				tx++
 				le := 0
-				for j := 0; j < wE; j++ {
-					le |= int(ps.leP[j][w]>>i&1) << j
+				for j, x := range em {
+					le |= int(x>>i&1) << j
 				}
-				if int(mv.Emit) != le {
-					for j := 0; j < wE; j++ {
-						if int(mv.Emit)>>j&1 == 1 {
-							ps.leP[j][w] |= bit
-						} else {
-							ps.leP[j][w] &^= bit
-						}
+				if ne := int(mv.Emit); ne != le {
+					for j, x := range em {
+						em[j] = x&^bit | uint64(ne>>j&1)<<i
 					}
-					emitters = append(emitters, packedEmit{v: int32(v), old: int16(le), nw: int16(mv.Emit)})
+					emitters = append(emitters, packedEmit{v: int32(v), old: int16(le), nw: int16(ne)})
 				}
 			}
 			e2 := eIdx + (nq2-q)*p.pdim
-			if pc.settled[e2>>6]>>(uint(e2)&63)&1 == 1 {
-				ps.stable[w] |= bit
-			}
+			stab |= (pc.settled[e2>>6] >> (uint(e2) & 63) & 1) << i
+			sink |= (pc.sink[nq2>>6] >> (uint(nq2) & 63) & 1) << i
 		}
+		for j, x := range st {
+			ps.stP[j][w] = x
+		}
+		for j, x := range em {
+			ps.leP[j][w] = x
+		}
+		ps.stable[w] |= stab
+		ps.sink[w] |= sink
 	}
 	if len(e.shardOf) > 0 {
 		e.route(worker, emitters)
@@ -430,9 +420,10 @@ func (e *packedKernel) route(worker int, emitters []packedEmit) {
 
 // deliver is the sequential deliver phase: every changed emission moves
 // one unit of every neighbor's count from the old letter to the new one
-// and wakes the neighbor. The ±1 plane updates are exact, so any
-// application order yields the same planes — which is what makes the
-// sharded variant bit-identical.
+// and wakes the neighbor. The ±1 updates are exact, so any application
+// order yields the same planes — which is what makes the sharded
+// variant bit-identical. A neighbor in a sink state never reads its
+// counts again, so it gets neither the update nor the wake.
 func (e *packedKernel) deliver(int) {
 	csr := e.p.csr
 	off, nbr := csr.NbrOff, csr.NbrDat
@@ -440,24 +431,41 @@ func (e *packedKernel) deliver(int) {
 	for _, lst := range ps.emits {
 		for _, em := range lst {
 			for k := off[em.v]; k < off[em.v+1]; k++ {
-				u := nbr[k]
-				ps.countDec(int(em.old), u)
-				ps.countInc(int(em.nw), u)
-				ps.stable[u>>6] &^= 1 << (uint(u) & 63)
+				ps.move(em.old, em.nw, nbr[k])
 			}
 		}
 	}
 }
 
 // deliverShard applies exactly the count updates routed to the shard;
-// they commute, so the planes are identical at every worker count.
+// they commute, so the planes are identical at every worker count. The
+// sink test sits here, after the compute barrier, and not in route:
+// route runs during compute, while other shards write their sink words.
 func (e *packedKernel) deliverShard(shard int) {
 	ps := e.ps
 	for w := range ps.buckets {
 		for _, d := range ps.buckets[w][shard] {
-			ps.countDec(int(d.old), d.v)
-			ps.countInc(int(d.nw), d.v)
-			ps.stable[d.v>>6] &^= 1 << (uint(d.v) & 63)
+			ps.move(d.old, d.nw, d.v)
 		}
 	}
+}
+
+// move shifts one unit of node u's count from letter old to letter nw
+// and wakes u, unless u sits in a sink. The borrow and the carry ripple
+// through the two whole blocks: stopping once they die would be a
+// data-dependent branch.
+func (ps *packedScratch) move(old, nw int16, u int32) {
+	w, bit := int(u>>6), uint64(1)<<(uint(u)&63)
+	if ps.sink[w]&bit != 0 {
+		return
+	}
+	dec, inc := ps.countBlock(int(old), w), ps.countBlock(int(nw), w)
+	borrow, carry := bit, bit
+	for j, x := range dec {
+		y := inc[j]
+		dec[j], inc[j] = x^borrow, y^carry
+		borrow &^= x
+		carry &= y
+	}
+	ps.stable[w] &^= bit
 }

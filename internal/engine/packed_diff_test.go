@@ -9,6 +9,7 @@ package engine_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"stoneage/internal/channel"
@@ -73,6 +74,46 @@ func TestDifferentialPackedSync(t *testing.T) {
 					comparePackedRun(t, flat, flatErr, got2, err2)
 				})
 			}
+		}
+	}
+}
+
+// TestPackedSinkStatesMIS pins the sink sets the bit-plane kernel
+// derives from the paper's protocols: exactly the absorbing outputs WIN
+// and LOSE for mis, and none for ssmis, whose outputs stay reactive.
+func TestPackedSinkStatesMIS(t *testing.T) {
+	if got := engine.SinkStates(engine.CompileMachine(mis.Protocol())); !reflect.DeepEqual(got, []nfsm.State{mis.Win, mis.Lose}) {
+		t.Errorf("mis sink states = %v, want [WIN LOSE] = %v", got, []nfsm.State{mis.Win, mis.Lose})
+	}
+	if got := engine.SinkStates(engine.CompileMachine(ssmis.Protocol())); len(got) != 0 {
+		t.Errorf("ssmis sink states = %v, want none", got)
+	}
+}
+
+// TestDifferentialPackedStreamedAuto runs the paper's MIS and the
+// self-stabilizing MIS at the auto-selection threshold on streamed
+// CSR-only G(n, 4/n) graphs: the empty backend, which must pick the
+// bit-plane kernel there, against the forced flat kernel, at one and
+// three workers. At this size most nodes end in a sink long before the
+// run does, so the skipped deliveries are exercised at scale.
+func TestDifferentialPackedStreamedAuto(t *testing.T) {
+	const n = 1 << 16
+	for _, m := range []*nfsm.RoundProtocol{mis.Protocol(), ssmis.Protocol()} {
+		code := engine.CompileMachine(m)
+		csr, err := graph.BuildCSR(graph.GnpConnectedStream(n, 4.0/n, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := code.BindCSR(csr)
+		if !engine.AutoPacked(prog) {
+			t.Fatalf("%s: the empty backend does not select packed at n = %d", m.Name, n)
+		}
+		flat, flatErr := prog.RunSync(engine.SyncConfig{Seed: 7, Workers: 1, Backend: engine.BackendFlat})
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", m.Name, workers), func(t *testing.T) {
+				got, err := prog.RunSync(engine.SyncConfig{Seed: 7, Workers: workers})
+				comparePackedRun(t, flat, flatErr, got, err)
+			})
 		}
 	}
 }

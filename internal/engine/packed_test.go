@@ -35,12 +35,13 @@ func packedTestProto() *nfsm.Protocol {
 }
 
 // packedFootprintBudget is the regression ceiling for the packed run
-// state, in bytes per node. The planes themselves cost ~2 B/node for
-// MIS on a sparse graph (2 state + 1 emission + |Σ|·⌈log₂Δ⌉ count + 1
-// stability planes, each 1/8 B per node); the sequential emitter
-// buffer adds up to 8 B/node in the worst all-changed round. 16 B/node
-// leaves headroom without letting the layout quietly regress toward
-// the flat engine's ~100 B/node.
+// state, in bytes per node. Every plane costs 1/8 B per node: for MIS
+// on a sparse graph that is 3 state planes, 3 last-emission planes,
+// |Σ| = 7 count blocks of ⌈log₂(Δ+1)⌉ words (35 planes at Δ = 25), and
+// the stability and sink planes, ~5.4 B/node in all; the sequential
+// emitter buffer adds up to 8 B/node in the worst all-changed round.
+// 16 B/node leaves headroom without letting the layout quietly regress
+// toward the flat engine's ~100 B/node.
 const packedFootprintBudget = 16
 
 func TestPackedFootprint(t *testing.T) {
@@ -70,43 +71,65 @@ func TestPackedFootprint(t *testing.T) {
 	}
 }
 
-// TestPackedCountPlanes drives the ripple-carry inc/dec across the full
-// count range of a letter and checks the threshold-clamp reads used by
-// the compute phase.
+// TestPackedCountPlanes drives the fixed-depth ripple of move across
+// the full count range in the block layout (two letters, two words, so
+// one block is neither the first nor the last): moving a node's 31
+// units from letter 0 to letter 1 counts letter 1 up through every
+// value and letter 0 down, and moving them back does the reverse. No
+// other lane, letter or word moves, and every move wakes its node.
 func TestPackedCountPlanes(t *testing.T) {
-	ps := &packedScratch{nw: 2, nl: 1, wQ: 1, wE: 1, wC: 5}
-	ps.planeBuf = make([]uint64, 5*2)
-	ps.cnt = [][]uint64{
-		ps.planeBuf[0:2], ps.planeBuf[2:4], ps.planeBuf[4:6],
-		ps.planeBuf[6:8], ps.planeBuf[8:10],
-	}
-	read := func(u int32) int {
+	const nl, nw, wC = 2, 2, 5
+	ps := &packedScratch{nw: nw, nl: nl, wQ: 1, wE: 1, wC: wC}
+	ps.cnt = make([]uint64, nl*nw*wC)
+	ps.stable, ps.sink = make([]uint64, nw), make([]uint64, nw)
+	read := func(l int, u int32) int {
 		w, i := int(u>>6), uint(u)&63
 		c := 0
-		for j := 0; j < ps.wC; j++ {
-			c |= int(ps.cnt[j][w]>>i&1) << j
+		for j := 0; j < wC; j++ {
+			c |= int(ps.cnt[(l*nw+w)*wC+j]>>i&1) << j
 		}
 		return c
 	}
 	for _, u := range []int32{0, 63, 64, 100} {
-		for k := 1; k <= 31; k++ {
-			ps.countInc(0, u)
-			if got := read(u); got != k {
-				t.Fatalf("node %d after %d incs: count %d", u, k, got)
-			}
+		blk := ps.countBlock(0, int(u>>6))
+		for j := range blk {
+			blk[j] |= 1 << (uint(u) & 63) // count 31
 		}
-		for k := 30; k >= 0; k-- {
-			ps.countDec(0, u)
-			if got := read(u); got != k {
-				t.Fatalf("node %d dec to %d: count %d", u, k, got)
+		for _, dir := range [][2]int16{{0, 1}, {1, 0}} {
+			for k := 1; k <= 31; k++ {
+				ps.stable[u>>6] = ^uint64(0)
+				ps.move(dir[0], dir[1], u)
+				if up, down := read(int(dir[1]), u), read(int(dir[0]), u); up != k || down != 31-k {
+					t.Fatalf("node %d after %d moves %d→%d: counts %d, %d", u, k, dir[0], dir[1], down, up)
+				}
+				if ps.stable[u>>6] != ^(uint64(1) << (uint(u) & 63)) {
+					t.Fatalf("node %d: move did not wake exactly its node", u)
+				}
 			}
 		}
 	}
 	// Independent lanes: counts of other nodes stayed zero.
 	for _, u := range []int32{1, 62, 65, 127} {
-		if got := read(u); got != 0 {
+		if got := read(0, u) + read(1, u); got != 0 {
 			t.Fatalf("untouched node %d has count %d", u, got)
 		}
+	}
+	// A node in a sink gets neither the update nor the wake.
+	ps.sink[1], ps.stable[1] = 1<<36, ^uint64(0)
+	ps.move(0, 1, 100)
+	if read(0, 100) != 31 || read(1, 100) != 0 || ps.stable[1] != ^uint64(0) {
+		t.Fatal("move updated or woke a sink node")
+	}
+}
+
+// TestPackedSinkStates pins the sink set of the test protocol: only
+// done, whose every row is a lone silent self-loop, is a sink; idle
+// stays put on one row but not on the others. (mis's sink set is
+// pinned in the external package, which can import it.)
+func TestPackedSinkStates(t *testing.T) {
+	got := SinkStates(CompileMachine(packedTestProto()))
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("sink states = %v, want [2] (done)", got)
 	}
 }
 

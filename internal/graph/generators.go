@@ -209,10 +209,11 @@ func CompleteBipartite(a, b int) *Graph {
 	return g
 }
 
-// NearRegular returns a random graph where every node has degree ~d,
-// produced by d/2 superimposed random perfect matchings over random
-// permutations (parallel edges and self-loops are skipped, so degrees are
-// approximate). Useful as a bounded-degree workload.
+// NearRegular returns a random graph of degree at most d: the union of
+// d rounds of random perfect matchings over random permutations, each
+// round giving a node at most one edge. A node ends below d only when a
+// round paired it with an existing neighbour or, for odd n, left it
+// out. Useful as a bounded-degree workload.
 func NearRegular(n, d int, src *xrand.Source) *Graph {
 	g := New(n)
 	rounds := d
