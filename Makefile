@@ -28,7 +28,9 @@ test:
 # The engine test line runs the allocation guards (TestAllocs*) and the
 # ladder-queue unit tests outside the race detector, the bit-plane
 # memory guard (TestPackedFootprint: packed run state stays under its
-# bytes-per-node budget) and the dynamic-memo guard
+# bytes-per-node budget), the async memory guard (TestAsyncFootprint:
+# the asynchronous working state, parking's per-node hop log included,
+# stays under its bytes-per-node budget) and the dynamic-memo guard
 # (TestDynMemoFootprint: the per-state record table stays under its
 # bytes-per-state budget); the streamed million-node run is
 # stonebench's sync-large workload, which `make bench` runs. The benchmark line runs each of the
@@ -58,7 +60,7 @@ check: build
 	go vet ./...
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
-	go test ./internal/engine -run 'TestAllocs|TestLadder|TestPackedFootprint|TestDynMemoFootprint' -count=1
+	go test ./internal/engine -run 'TestAllocs|TestLadder|TestPackedFootprint|TestAsyncFootprint|TestDynMemoFootprint' -count=1
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s

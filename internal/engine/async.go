@@ -32,7 +32,8 @@ import (
 // a longer silent chain is virtualized in checkpoint windows (the cap
 // branch schedules a real step mid-chain, which is always sound). The
 // window adapts per node between these bounds — see
-// asyncScratch.walkCap.
+// asyncScratch.walkCap — and walkCapMax is the size of each node's hop
+// log (asyncScratch.hopQ).
 const (
 	walkCapMin = 16
 	walkCapMax = 256
@@ -127,8 +128,8 @@ type AsyncConfig struct {
 	// re-pulse backoff. The machine should be a synchro.CompileVoted
 	// compilation (the αβ state machine with the voted contract);
 	// voted runs park like any other (only a committing receipt
-	// unparks its receiver) and reject scenarios with topological
-	// mutations. Nil runs the plain or αβ contract unchanged.
+	// re-decides its receiver's chain) and reject scenarios with
+	// topological mutations. Nil runs the plain or αβ contract unchanged.
 	Voted *VotedConfig
 }
 
@@ -305,7 +306,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 	lq := &as.lq
 	lq.reset()
-	as.stepped = 0
+	as.stepped, as.derived = 0, 0
 
 	// Scenario state, zero on static runs: g is the evolving topology
 	// (cur is its CSR snapshot), live tracks who is awake, byz maps each
@@ -364,7 +365,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 	// are pure functions of (sender, step, receiver, copy) taken only at
 	// emitting steps, which are real events; a drop, duplicate or
 	// reorder only removes or adds deliveries, and every delivery that
-	// writes a port unparks its receiver first; and a reorder's Extra
+	// writes a port re-decides its receiver first; and a reorder's Extra
 	// carries fresh entropy (channel.Model), so deliveries still never
 	// tie a step.
 	initRank, ranks := int32(0), n
@@ -393,6 +394,11 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		as.virtLen = grow(as.virtLen, n, 0)
 		as.pendingReal = grow(as.pendingReal, n, false)
 		as.walked = grow(as.walked, n, walkedChain{})
+		if cap(as.hopLen) < n*walkCapMax {
+			as.hopQ = make([]uint32, n*walkCapMax)
+			as.hopLen = make([]float64, n*walkCapMax)
+		}
+		as.hopQ, as.hopLen = as.hopQ[:n*walkCapMax], as.hopLen[:n*walkCapMax]
 		if cap(as.walkCap) < n {
 			as.walkCap = make([]int32, n)
 		}
@@ -471,27 +477,26 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 
 	// replay advances parked node v through every skipped step strictly
 	// before `until`, exactly as the reference engine would have
-	// processed them. The node's ports are untouched since it parked
-	// (any delivery unparks first), so its evolution is deterministic:
-	// singleton silent rows chain until they reach a self-loop, which
-	// then spins arithmetically. Each skipped step advances the state,
-	// step index and last-step time, counts toward Steps and the
-	// budget, and consumes its successor's step length (updating
-	// maxParam) — bit-identical to materialized execution.
+	// processed them. Since the node parked, no delivery has changed a
+	// count its chain observes (rewalk re-decides the chain when one
+	// does), so its evolution is the walked chain: the hops the walk
+	// logged, then the self-loop the chain ends in, spun arithmetically.
+	// Replay derives no row. Each skipped step advances the state, step
+	// index and last-step time, counts toward Steps and the budget, and
+	// consumes its successor's step length (updating maxParam) —
+	// bit-identical to materialized execution.
 	// tieKey 0 replays strictly before `until`; a terminating step's
 	// own key additionally includes a virtual step landing exactly on
 	// `until` whose reference-order position precedes it.
 	replay := func(v int, until float64, tieKey uint64) error {
 		vt, vi := as.virtTime[v], as.virtIndex[v]
 		lastL := as.virtLen[v] // length of the pending step at vt
-		if vt > until || (vt == until && stepKey(lastL, rank[v]) >= tieKey) {
-			return nil
-		}
 		steps := res.Steps
 		mp := maxParam
 		last := lastStepAt[v]
 		cs := states[v]
-		if w := &as.walked[v]; w.idx > vi && w.last < until && steps+int64(w.idx-vi) < maxSteps {
+		w := &as.walked[v]
+		if w.idx > vi && w.last < until && steps+int64(w.idx-vi) < maxSteps {
 			// The rest of the walked chain lies before the horizon and
 			// within the budget: land on its end as the walk derived it.
 			steps += int64(w.idx - vi)
@@ -502,45 +507,10 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			vt, vi, lastL, cs = w.at, w.idx, w.len, w.q
 		}
 		for vt < until || (vt == until && stepKey(lastL, rank[v]) < tieKey) {
-			nx, kind := rc.silentNext(v, cs, ds, true)
-			if kind == rowSilentSelf && vt < until {
-				// Self-loop: spin to the horizon in one tight loop.
-				buf := as.stepBuf[:]
-				bi, bn := 0, 0
-				for vt < until {
-					last = vt
-					steps++
-					if steps >= maxSteps {
-						res.Steps = steps
-						return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
-					}
-					var l float64
-					if batcher != nil {
-						if bi == bn {
-							batcher.StepLengths(v, vi+1, buf)
-							bi, bn = 0, len(buf)
-						}
-						l = buf[bi]
-						bi++
-					} else {
-						l = adv.StepLength(v, vi+1)
-					}
-					if l <= 0 {
-						return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
-					}
-					if l > mp {
-						mp = l
-					}
-					vt += l
-					vi++
-					lastL = l
-				}
-				continue
-			}
-			// One deterministic silent step: a chain hop, or the virtual
-			// step landing exactly on the terminating event's time that
-			// precedes it in the reference's tie order (its successor is
-			// strictly later, so there is one).
+			// One skipped step: a logged hop, a spin of the self-loop
+			// the chain ends in, or the virtual step landing exactly on
+			// the terminating event's time that precedes it in the
+			// reference's tie order.
 			last = vt
 			steps++
 			if steps >= maxSteps {
@@ -548,15 +518,20 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				return fmt.Errorf("%w: %s after %d steps", ErrNoConvergence, machineName(p.m), steps)
 			}
 			var l float64
-			if batcher == nil {
-				l = adv.StepLength(v, vi+1)
-			} else if idx := vi + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
-				l = as.stepLens[v*stepLenBatch+idx]
+			if vi < w.idx {
+				h := v*walkCapMax + vi&(walkCapMax-1)
+				l, cs = as.hopLen[h], nfsm.State(as.hopQ[h])
 			} else {
-				l = stepLen(v, vi+1)
-			}
-			if l <= 0 {
-				return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
+				if batcher == nil {
+					l = adv.StepLength(v, vi+1)
+				} else if idx := vi + 1 - as.stepFrom[v]; uint(idx) < stepLenBatch {
+					l = as.stepLens[v*stepLenBatch+idx]
+				} else {
+					l = stepLen(v, vi+1)
+				}
+				if l <= 0 {
+					return fmt.Errorf("engine: adversary returned non-positive step length %g for node %d step %d", l, v, vi+1)
+				}
 			}
 			if l > mp {
 				mp = l
@@ -564,9 +539,6 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			vt += l
 			vi++
 			lastL = l
-			if kind == rowSilentHop {
-				cs = nx
-			}
 		}
 		as.virtTime[v], as.virtIndex[v] = vt, vi
 		as.virtLen[v] = lastL
@@ -578,40 +550,25 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		return nil
 	}
 
-	// schedule decides how node v proceeds from state q with pending
-	// step ti at absolute time tt. It walks the deterministic silent
-	// chain ahead of the node (ports frozen until the next delivery, so
-	// the walk is exact): a self-loop parks the node with no event at
-	// all; a branching, transmitting or output-flipping row gets a real
-	// event at its precomputed time, with the chain before it left
-	// virtual for replay. The walk reads future step lengths but
-	// commits nothing — lengths enter maxParam only when replay (or
-	// materialized processing) consumes them, exactly when the
-	// reference engine would.
-	// l0 is the length of the pending step at (ti, tt) — the step tie
-	// key the reference engine's push order implies (see stepKey).
-	schedule := func(v int, q nfsm.State, ti int, tt float64, l0 float64) {
-		if !canPark {
-			lq.push(qevent{time: tt, seq: seq, node: int32(v), epoch: epochs[v], step: true})
-			seq++
-			return
-		}
-		as.virtTime[v], as.virtIndex[v] = tt, ti
-		as.virtLen[v] = l0
-		if (lagging > 0 && stepsSince[v] < 2) || (byz != nil && byz[v] >= 0) {
-			// Virtual steps never count toward the settling window, so a
-			// node still short of its two post-batch steps takes them
-			// materialized; a Byzantine node does not run δ, so the walk
-			// cannot predict it.
-			lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
-			pendingReal[v] = true
-			return
-		}
-		cs := q
+	// walk derives the deterministic silent chain ahead of node v
+	// from state cs at step ti (time tt, length l0; ports frozen
+	// until the next delivery, so the walk is exact) and logs each hop:
+	// a self-loop parks the node with no event at all; a branching,
+	// transmitting or output-flipping row gets a real event at its
+	// precomputed time, with the chain before it left virtual for
+	// replay. A walk resumed mid-chain (see rewalk) carries the logged
+	// hops from virtIndex to ti in last and maxLen. The walk reads
+	// future step lengths but commits nothing — lengths enter maxParam
+	// only when replay (or materialized processing) consumes them,
+	// exactly when the reference engine would. The chain, resumed
+	// prefix included, spans at most walkCap[v] ≤ walkCapMax hops, so
+	// the log's ring holds it.
+	walk := func(v int, cs nfsm.State, ti int, tt, l0, last, maxLen float64) {
+		hop := ti - as.virtIndex[v]
 		chainCap := int(as.walkCap[v])
-		last, maxLen := 0.0, 0.0
-		for hop := 0; ; hop++ {
+		for ; ; hop++ {
 			nx, kind := rc.silentNext(v, cs, ds, false)
+			as.derived++
 			if kind == rowSilentSelf {
 				// Spins until a delivery changes what it observes.
 				break
@@ -642,6 +599,8 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				}
 				break
 			}
+			h := v*walkCapMax + ti&(walkCapMax-1)
+			as.hopQ[h], as.hopLen[h] = uint32(nx), l
 			last = tt
 			if l > maxLen {
 				maxLen = l
@@ -655,6 +614,73 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		parked[v] = true
 		parkedCount++
 		as.walked[v] = walkedChain{q: cs, idx: ti, at: tt, len: l0, last: last, maxLen: maxLen}
+	}
+
+	// schedule decides how node v proceeds from state q with pending
+	// step ti at absolute time tt: it records the pending step and
+	// walks the chain ahead. l0 is the length of the pending step — the
+	// step tie key the reference engine's push order implies (see
+	// stepKey).
+	schedule := func(v int, q nfsm.State, ti int, tt float64, l0 float64) {
+		if !canPark {
+			lq.push(qevent{time: tt, seq: seq, node: int32(v), epoch: epochs[v], step: true})
+			seq++
+			return
+		}
+		as.virtTime[v], as.virtIndex[v] = tt, ti
+		as.virtLen[v] = l0
+		if (lagging > 0 && stepsSince[v] < 2) || (byz != nil && byz[v] >= 0) {
+			// Virtual steps never count toward the settling window, so a
+			// node still short of its two post-batch steps takes them
+			// materialized; a Byzantine node does not run δ, so the walk
+			// cannot predict it.
+			lq.push(qevent{time: tt, seq: stepKey(l0, rank[v]), node: int32(v), epoch: epochs[v], step: true})
+			pendingReal[v] = true
+			return
+		}
+		walk(v, q, ti, tt, l0, 0, 0)
+	}
+
+	// rewalk re-decides parked node v after a delivery, replayed up to
+	// its receipt, moved one of its ports from letter x to y. A row
+	// reads only clamped counts, so the chain stands unless the count
+	// of x or y moved. On a single-query machine it stands up to the
+	// first state, the chain's end included, whose query letter is one
+	// that moved, and the walk resumes there; on any other machine the
+	// walk restarts at the pending step.
+	singleQuery := p.kind == progDynamic && p.single != nil
+	rewalk := func(v int, x, y nfsm.Letter) {
+		b := int32(p.b)
+		xm, ym := rc.raw[v*p.nl+int(x)] < b, rc.raw[v*p.nl+int(y)] <= b
+		if !xm && !ym {
+			return
+		}
+		w := &as.walked[v]
+		cs, ti, tt, l0 := states[v], as.virtIndex[v], as.virtTime[v], as.virtLen[v]
+		last, maxLen := 0.0, 0.0
+		for singleQuery {
+			if ql := nfsm.Letter(uint32(ds.recs[int(cs)*ds.stride])); (ql == x && xm) || (ql == y && ym) {
+				break
+			}
+			if ti >= w.idx {
+				return // no state of the chain observes a moved count
+			}
+			h := v*walkCapMax + ti&(walkCapMax-1)
+			l := as.hopLen[h]
+			last = tt
+			if l > maxLen {
+				maxLen = l
+			}
+			cs, tt, ti, l0 = nfsm.State(as.hopQ[h]), tt+l, ti+1, l
+		}
+		parked[v] = false
+		parkedCount--
+		if pendingReal[v] {
+			epochs[v]++
+			pendingReal[v] = false
+		}
+		as.walkCap[v] = walkCapMin
+		walk(v, cs, ti, tt, l0, last, maxLen)
 	}
 
 	// scheduleNext draws the length of node v's next step and schedules
@@ -903,20 +929,12 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 			if portWriteAt[k] > lastStepAt[v] {
 				res.Lost++
 			}
+			old := rc.portDat[k]
 			rc.setPort(v, k, letter)
 			portWriteAt[k] = e.time
-			if canPark && parked[v] {
-				// The write may have changed what the node observes:
-				// invalidate the precomputed chain and re-decide from
-				// the landed state.
-				parked[v] = false
-				parkedCount--
-				if pendingReal[v] {
-					epochs[v]++
-					pendingReal[v] = false
-				}
-				as.walkCap[v] = walkCapMin
-				schedule(v, states[v], as.virtIndex[v], as.virtTime[v], as.virtLen[v])
+			if canPark && parked[v] && old != letter {
+				// The write may have changed what the node observes.
+				rewalk(v, old, letter)
 			}
 			continue
 		}

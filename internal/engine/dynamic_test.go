@@ -198,6 +198,14 @@ func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 		b.Muts = slices.DeleteFunc(slices.Clone(b.Muts), graph.Mutation.Topological)
 		byzCh.Batches = append(byzCh.Batches, b)
 	}
+	// Each case is a parallel subtest: the runs share only the
+	// compiled machines, whose state interning is concurrency-safe.
+	diff := func(name string, m nfsm.Machine, g0 *graph.Graph, cfg engine.AsyncConfig) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			diffDynamicAsync(t, name, m, g0, cfg)
+		})
+	}
 	for _, advName := range []string{"uniform", "skew", "overwriter"} {
 		for gi, g0 := range dynGraphs()[:3] {
 			for di, def := range dynDefs() {
@@ -207,7 +215,7 @@ func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 					t.Fatal(err)
 				}
 				name := fmt.Sprintf("alpha/g%d/%s-%s/%s", gi, def.Name(), def.Reset, advName)
-				diffDynamicAsync(t, name, m, g0, dynCfg(seed, advName, sc, 1<<16))
+				diff(name, m, g0, dynCfg(seed, advName, sc, 1<<16))
 			}
 		}
 		// Which of two tied steps comes first shows only where the run
@@ -216,21 +224,21 @@ func TestDifferentialDynamicAsyncAlpha(t *testing.T) {
 		// spins fit in.
 		for seed := uint64(1); seed <= 4; seed++ {
 			for mi, tm := range []nfsm.Machine{m, flood()} {
-				diffDynamicAsync(t, fmt.Sprintf("ties/m%d/%s/seed%d", mi, advName, seed), tm, graph.Cycle(16), dynCfg(seed, advName, ties, 1<<20))
+				diff(fmt.Sprintf("ties/m%d/%s/seed%d", mi, advName, seed), tm, graph.Cycle(16), dynCfg(seed, advName, ties, 1<<20))
 			}
-			diffDynamicAsync(t, fmt.Sprintf("byzantine/%s/seed%d", advName, seed), m, graph.Cycle(16), dynCfg(seed, advName, &byz, 1<<16))
+			diff(fmt.Sprintf("byzantine/%s/seed%d", advName, seed), m, graph.Cycle(16), dynCfg(seed, advName, &byz, 1<<16))
 			// Channel runs park too: the tie keys must hold with drops,
 			// duplicates and reorders in flight.
 			chCfg := dynCfg(seed, advName, &byzCh, 1<<20)
 			chCfg.Channel = stackedChannel(seed)
 			chCfg.Voted = &engine.VotedConfig{RePulseSource: voted.RePulseSource}
-			diffDynamicAsync(t, fmt.Sprintf("byzantine-channel/%s/seed%d", advName, seed), voted, graph.Cycle(16), chCfg)
+			diff(fmt.Sprintf("byzantine-channel/%s/seed%d", advName, seed), voted, graph.Cycle(16), chCfg)
 			// A Byzantine babbler whose frozen state is flood's idle
 			// self-loop: parked, it would never babble.
 			cfg := dynCfg(seed, advName, &byz, 1<<16)
 			cfg.Init = make([]nfsm.State, 16) // idle
 			cfg.Init[0] = 1                   // hot
-			diffDynamicAsync(t, fmt.Sprintf("byzantine-idle/%s/seed%d", advName, seed), flood(), graph.Cycle(16), cfg)
+			diff(fmt.Sprintf("byzantine-idle/%s/seed%d", advName, seed), flood(), graph.Cycle(16), cfg)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"slices"
 	"unsafe"
 
@@ -32,6 +33,37 @@ func StaleIdx(s *Scratch) int {
 // materialized: step events the ladder popped and processed. The rest
 // of the run's Steps were parked and replayed.
 func SteppedEvents(s *Scratch) int64 { return s.async().stepped }
+
+// DerivedHops reports how many chain-walk derivations (silentNext
+// calls) the last asynchronous run on s made.
+func DerivedHops(s *Scratch) int64 { return s.async().derived }
+
+// AsyncBytes reports the bytes the asynchronous working state of s
+// retains: the struct itself plus the backing storage of every slice in
+// it, the ladder queue's included.
+func AsyncBytes(s *Scratch) int {
+	var held func(v reflect.Value) int
+	held = func(v reflect.Value) int {
+		switch v.Kind() {
+		case reflect.Slice:
+			return v.Cap() * int(v.Type().Elem().Size())
+		case reflect.Array:
+			n := 0
+			for i := 0; i < v.Len(); i++ {
+				n += held(v.Index(i))
+			}
+			return n
+		case reflect.Struct:
+			n := 0
+			for i := 0; i < v.NumField(); i++ {
+				n += held(v.Field(i))
+			}
+			return n
+		}
+		return 0
+	}
+	return int(unsafe.Sizeof(*s.async())) + held(reflect.ValueOf(s.async()).Elem())
+}
 
 // KeepsIdx reports whether runs of the machine maintain the per-node
 // observation index, and whether it is a dynPack machine's memo key.

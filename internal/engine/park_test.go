@@ -146,6 +146,7 @@ func TestDifferentialParkedReceipts(t *testing.T) {
 		for ai, advName := range []string{"uniform", "skew", "overwriter"} {
 			seed := uint64(1 + ai)
 			t.Run(fmt.Sprintf("%s/%s", tc.name, advName), func(t *testing.T) {
+				t.Parallel()
 				cfg := func() engine.AsyncConfig {
 					return engine.AsyncConfig{
 						Seed:      seed,
@@ -191,5 +192,91 @@ func sameAsyncResult(t *testing.T, name string, got, want *engine.AsyncResult) {
 		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
 			t.Errorf("%s %s = %v, reference %v", name, gv.Type().Field(i).Name, gv.Field(i).Interface(), wv.Field(i).Interface())
 		}
+	}
+}
+
+// derivedHopsBudget bounds the chain-walk derivations per step of a
+// parked run. The walk logs every hop it derives, replay reads the log
+// and derives nothing, and a delivery resumes the walk at the first
+// state that observes a count it moved: these runs derive 1.00 (α) and
+// 1.28 (αβv, whose deliveries cut long stall chains) per step. Deriving
+// replayed hops again and re-walking the whole chain on every delivery
+// derives 1.54 and 2.25.
+const derivedHopsBudget = 1.4
+
+// TestParkedStepsDerivedOnce bounds the derivations per step on an α-mis
+// run on gnp(64, 4/64) under UniformRandom and an αβv-mis run under the
+// stacked channel.
+func TestParkedStepsDerivedOnce(t *testing.T) {
+	alpha, err := synchro.CompileRound(mis.Protocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	voted, err := synchro.CompileRoundVoted(mis.Protocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.GnpConnected(64, 4.0/64, xrand.New(5))
+	cases := []struct {
+		name string
+		m    nfsm.Machine
+		cfg  engine.AsyncConfig
+	}{
+		{"alpha", alpha, engine.AsyncConfig{}},
+		{"voted/stack", voted, engine.AsyncConfig{
+			Channel: stackedChannel(3),
+			Voted:   &engine.VotedConfig{RePulseSource: voted.RePulseSource},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed = 1
+			cfg.Adversary = engine.UniformRandom{Seed: 2}
+			cfg.MaxSteps = 1 << 22
+			scr := engine.NewScratch()
+			res, err := engine.Compile(tc.m, g).RunAsyncReusing(cfg, scr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			derived := engine.DerivedHops(scr)
+			perStep := float64(derived) / float64(res.Steps)
+			t.Logf("%d derivations for %d steps (%d materialized): %.3f per step", derived, res.Steps, engine.SteppedEvents(scr), perStep)
+			if perStep > derivedHopsBudget {
+				t.Errorf("%d derivations for %d steps = %.3f per step, budget %.2f", derived, res.Steps, perStep, derivedHopsBudget)
+			}
+		})
+	}
+}
+
+// asyncFootprintBudget is the regression ceiling for the asynchronous
+// working state, in bytes per node, after an α-mis run on a sparse
+// graph. The hop log (a ring of 256 successor states and step lengths
+// per node) takes 3 KB/node and the step-length window 256 B/node; the
+// event queue's buckets, the per-node parking fields and the per-edge
+// port times add about 1.1 KB/node (4.3 KB/node in all at n=1024). A
+// hop log entry widened to 16 bytes, or a second per-node ring, breaks
+// it.
+const asyncFootprintBudget = 5120
+
+// TestAsyncFootprint pins the bytes per node the asynchronous working
+// state retains after an α-mis run at n=1024.
+func TestAsyncFootprint(t *testing.T) {
+	m, err := synchro.CompileRound(mis.Protocol())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1024
+	g := graph.GnpConnected(n, 4.0/n, xrand.New(1))
+	scr := engine.NewScratch()
+	cfg := engine.AsyncConfig{Seed: 1, Adversary: engine.UniformRandom{Seed: 1}}
+	if _, err := engine.Compile(m, g).RunAsyncReusing(cfg, scr); err != nil {
+		t.Fatal(err)
+	}
+	got := engine.AsyncBytes(scr)
+	per := float64(got) / n
+	t.Logf("%d bytes (%.0f B/node)", got, per)
+	if per > asyncFootprintBudget {
+		t.Errorf("asynchronous working state = %d bytes (%.0f B/node), budget %d B/node", got, per, asyncFootprintBudget)
 	}
 }

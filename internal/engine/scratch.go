@@ -63,7 +63,13 @@ type asyncScratch struct {
 	virtLen     []float64
 	pendingReal []bool
 	walked      []walkedChain
-	stepBuf     [256]float64
+	// hopQ and hopLen are the per-node hop logs, a ring of walkCapMax
+	// entries per node indexed by step index: entry i of node v holds
+	// the state step i moves v to and the length of step i+1, as the
+	// walk derived them. They are valid for [virtIndex, walked.idx)
+	// exactly while the node is parked.
+	hopQ   []uint32
+	hopLen []float64
 
 	// Step tie-key origin ranks (see stepKey): each node's current
 	// chain origin, and the first rank of each scenario batch's starts.
@@ -92,8 +98,9 @@ type asyncScratch struct {
 
 	// stepped counts the last run's materialized steps: the step events
 	// the ladder popped and processed, as opposed to the skipped steps
-	// replay accounted for.
-	stepped int64
+	// replay accounted for. derived counts its chain-walk derivations
+	// (silentNext calls).
+	stepped, derived int64
 }
 
 // walkedChain is where a parked node's walked silent chain ends and

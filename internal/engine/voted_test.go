@@ -51,6 +51,7 @@ func TestDifferentialAsyncVoted(t *testing.T) {
 				for _, k := range []int{1, 2, 3} {
 					name := fmt.Sprintf("%s/model=%s/%s/k=%d", tc.name, model, advName, k)
 					t.Run(name, func(t *testing.T) {
+						t.Parallel()
 						compareAsyncVoted(t, tc.m, tc.g, func() engine.AsyncConfig {
 							return engine.AsyncConfig{
 								Seed:      uint64(60 + mi),
@@ -65,6 +66,7 @@ func TestDifferentialAsyncVoted(t *testing.T) {
 			}
 		}
 		t.Run(tc.name+"/byzantine", func(t *testing.T) {
+			t.Parallel()
 			compareAsyncVoted(t, tc.m, tc.g, func() engine.AsyncConfig {
 				return engine.AsyncConfig{
 					Seed:      80,
@@ -77,6 +79,7 @@ func TestDifferentialAsyncVoted(t *testing.T) {
 			})
 		})
 		t.Run(tc.name+"/crash-restart", func(t *testing.T) {
+			t.Parallel()
 			// Liveness-only mutations (crash, restart) are supported
 			// under the voted tier; the reboot path resets the decoder
 			// slots identically in both executors.
