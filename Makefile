@@ -32,7 +32,10 @@ test:
 # the asynchronous working state, parking's per-node hop log included,
 # stays under its bytes-per-node budget) and the dynamic-memo guard
 # (TestDynMemoFootprint: the per-state record table stays under its
-# bytes-per-state budget); the streamed million-node run is
+# bytes-per-state budget); the synchro line runs the compiled-machine
+# guard (TestCompiledFootprint: the heap a synchronizer compilation
+# retains per interned state stays under its budget, measured outside
+# the race detector like the others); the streamed million-node run is
 # stonebench's sync-large workload, which `make bench` runs. The benchmark line runs each of the
 # root package's microbenchmarks once, so a broken one fails the gate
 # instead of rotting; it measures nothing. The fuzz lines are time-boxed
@@ -61,6 +64,7 @@ check: build
 	go test -race ./...
 	go test ./internal/protocol -run TestConformance -count=1
 	go test ./internal/engine -run 'TestAllocs|TestLadder|TestPackedFootprint|TestAsyncFootprint|TestDynMemoFootprint' -count=1
+	go test ./internal/synchro -run TestCompiledFootprint -count=1
 	go test -run '^$$' -bench . -benchtime 1x .
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialSync -fuzztime 15s
 	go test ./internal/engine -run '^$$' -fuzz FuzzDifferentialAsync -fuzztime 15s

@@ -567,7 +567,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		hop := ti - as.virtIndex[v]
 		chainCap := int(as.walkCap[v])
 		for ; ; hop++ {
-			nx, kind := rc.silentNext(v, cs, ds, false)
+			nx, kind := rc.silentNext(v, cs, ds)
 			as.derived++
 			if kind == rowSilentSelf {
 				// Spins until a delivery changes what it observes.

@@ -91,8 +91,10 @@ func compareSync(t *testing.T, m nfsm.Machine, g *graph.Graph, cfg engine.SyncCo
 // reference across every metric the executors report.
 func compareAsync(t *testing.T, m nfsm.Machine, g *graph.Graph, cfg func() engine.AsyncConfig) {
 	t.Helper()
-	ref, refErr := engine.RunAsyncRef(m, g, cfg())
+	// The ladder runs first: on a lazily interning machine it then meets
+	// rows no earlier run built, which its chain walker must leave alone.
 	got, gotErr := engine.RunAsync(m, g, cfg())
+	ref, refErr := engine.RunAsyncRef(m, g, cfg())
 	if refErr != nil || gotErr != nil {
 		if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
 			t.Fatalf("error mismatch:\nreference: %v\nladder:    %v", refErr, gotErr)

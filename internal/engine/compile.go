@@ -431,7 +431,10 @@ type dynScratch struct {
 // word holds Next in its low 32 bits, Emit+1 in the next 16, the
 // chain-walk kind (see the row constants), isOutput(Next)−isOutput(q)+1
 // in two bits, and rowSide, which marks a row kept at side[low 32 bits]
-// instead (kind rowBranches). Both are non-zero once filled.
+// instead (kind rowBranches). Both are non-zero once filled. A walk that
+// reaches a row the machine has not built leaves rowUnbuilt (kind
+// rowBranches) in its word, so later walks stop there without asking the
+// machine again; pick resolves the row and overwrites the word.
 const (
 	hdrGen       = 1<<61 - 1<<32
 	hdrRP        = 1 << 61
@@ -440,6 +443,7 @@ const (
 	rowKindShift = 48
 	rowDoutShift = 50
 	rowSide      = 1 << 52
+	rowUnbuilt   = 1 << 53
 )
 
 // rowTab is a linear-probing hash table from packed observation keys to
@@ -601,7 +605,7 @@ type builtRows interface {
 
 // fillRow resolves the row word of node v in state q from Machine.Moves.
 // Unless resolve is set, a builtRows machine's row that is not built
-// yet stays unresolved and fillRow returns 0.
+// yet stays unresolved: fillRow records and returns the rowUnbuilt word.
 func (rc *runCounts) fillRow(v int, q nfsm.State, ds *dynScratch, resolve bool) uint64 {
 	p := rc.p
 	i := ds.rec(p.MachineCode, q)
@@ -612,7 +616,8 @@ func (rc *runCounts) fillRow(v int, q nfsm.State, ds *dynScratch, resolve bool) 
 	if br, ok := p.m.(builtRows); ok && !resolve {
 		var built bool
 		if row, built = br.BuiltMoves(q, ds.cbuf); !built {
-			return 0
+			ds.recs[i+1+int(c)] = rowUnbuilt | uint64(rowBranches)<<rowKindShift
+			return ds.recs[i+1+int(c)]
 		}
 	} else {
 		row = p.m.Moves(q, ds.cbuf)
@@ -649,17 +654,15 @@ func b2i(b bool) int {
 // for the chain walker; the successor is meaningful for the silent
 // kinds only. On dynamic single-query machines (the synchronizer
 // compilations the asynchronous engine executes) both come from one
-// record word. Unless resolve is set, a row a builtRows machine has not
-// built yet reads as branching: building it interns its successors, so
-// the walker, which looks ahead of where the node may ever get, leaves
-// it to the step that reaches it.
-func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch, resolve bool) (nfsm.State, int8) {
+// record word. A row a builtRows machine has not built yet reads as
+// branching: building it interns its successors, so the walker, which
+// looks ahead of where the node may ever get, leaves it to the step that
+// reaches it.
+func (rc *runCounts) silentNext(v int, q nfsm.State, ds *dynScratch) (nfsm.State, int8) {
 	if p := rc.p; p.kind == progDynamic && p.single != nil {
 		w := rc.dynRow(v, q, ds)
 		if w == 0 {
-			if w = rc.fillRow(v, q, ds, resolve); w == 0 {
-				return 0, rowBranches
-			}
+			w = rc.fillRow(v, q, ds, false)
 		}
 		return nfsm.State(uint32(w)), int8(w >> rowKindShift & 3)
 	}
@@ -679,7 +682,7 @@ func (rc *runCounts) pick(v int, q nfsm.State, ds *dynScratch, seed uint64, t in
 	var row []nfsm.Move
 	if p.kind == progDynamic && p.single != nil {
 		w := rc.dynRow(v, q, ds)
-		if w == 0 {
+		if w == 0 || w&rowUnbuilt != 0 {
 			w = rc.fillRow(v, q, ds, true)
 		}
 		if w&rowSide == 0 {

@@ -189,8 +189,11 @@ func TestDifferentialAsyncEngines(t *testing.T) {
 					// cells stay fast; a budget miss must then be
 					// reproduced verbatim by the compiled engine.
 					const maxSteps = 1 << 20
-					ref, refErr := engine.RunAsyncRef(tc.m, tc.g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps})
+					// The compiled engine runs first, so on the lazily
+					// interning machine its chain walker meets rows no
+					// earlier run built.
 					got, gotErr := engine.RunAsync(tc.m, tc.g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps})
+					ref, refErr := engine.RunAsyncRef(tc.m, tc.g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps})
 					if refErr != nil || gotErr != nil {
 						if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
 							t.Fatalf("error mismatch:\nreference: %v\ncompiled:  %v", refErr, gotErr)

@@ -445,8 +445,10 @@ func FuzzDifferentialAsync(f *testing.F) {
 		const maxSteps = 1 << 12
 
 		mkAdv := func() engine.Adversary { return engine.NamedAdversaries(seed + 5)[advName] }
-		ref, refErr := engine.RunAsyncRef(mach, g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps, Scenario: sc, Channel: model, Voted: vcfg})
+		// The ladder runs first, so on a synchronizer machine its chain
+		// walker meets rows no earlier run built.
 		got, gotErr := engine.RunAsync(mach, g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps, Scenario: sc, Channel: model, Voted: vcfg})
+		ref, refErr := engine.RunAsyncRef(mach, g, engine.AsyncConfig{Seed: seed, Adversary: mkAdv(), MaxSteps: maxSteps, Scenario: sc, Channel: model, Voted: vcfg})
 		if refErr != nil || gotErr != nil {
 			if refErr == nil || gotErr == nil || refErr.Error() != gotErr.Error() {
 				t.Fatalf("error mismatch:\nreference: %v\ncompiled:  %v", refErr, gotErr)

@@ -113,3 +113,65 @@ func TestDynMemoFootprint(t *testing.T) {
 		t.Errorf("dynamic memo holds %d bytes for %d states (%.1f B/state), budget %d B/state", got, states, per, dynMemoBudget)
 	}
 }
+
+// builtCounter wraps a compiled machine and counts its BuiltMoves calls
+// per (state, clamped count of the state's query letter).
+type builtCounter struct {
+	*synchro.Compiled
+	calls  map[[2]int]int
+	misses int
+}
+
+func (m *builtCounter) BuiltMoves(q nfsm.State, counts []nfsm.Count) ([]nfsm.Move, bool) {
+	row, built := m.Compiled.BuiltMoves(q, counts)
+	m.calls[[2]int{int(q), int(counts[m.QueryLetter(q)])}]++
+	if !built {
+		m.misses++
+	}
+	return row, built
+}
+
+// TestWalkMissesMemoized pins that the chain walker asks a lazily
+// interning machine about each δ row at most once per Scratch: a built
+// row's word and the mark of a row the machine has not built yet both
+// stay in the record table, so a later walk that reaches the same
+// unbuilt row makes no new call. The wrapped αβv-mis run under the
+// stacked channel must still equal the same run of the bare machine.
+func TestWalkMissesMemoized(t *testing.T) {
+	compile := func() *synchro.Compiled {
+		m, err := synchro.CompileRoundVoted(mis.Protocol())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	bare, counted := compile(), &builtCounter{Compiled: compile(), calls: map[[2]int]int{}}
+	g := graph.GnpConnected(64, 4.0/64, xrand.New(5))
+	run := func(m nfsm.Machine, rp func(nfsm.State) bool) *engine.AsyncResult {
+		cfg := engine.AsyncConfig{
+			Seed: 1, Adversary: engine.UniformRandom{Seed: 2}, MaxSteps: 1 << 22,
+			Channel: stackedChannel(3), Voted: &engine.VotedConfig{RePulseSource: rp},
+		}
+		res, err := engine.Compile(m, g).RunAsyncReusing(cfg, engine.NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(bare, bare.RePulseSource)
+	got := run(counted, counted.RePulseSource)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("counted machine's run differs from the bare machine's:\n%+v\n%+v", got, want)
+	}
+	if counted.misses == 0 {
+		t.Fatal("no walk reached an unbuilt row; the run exercises nothing")
+	}
+	repeats := 0
+	for _, n := range counted.calls {
+		repeats += n - 1
+	}
+	t.Logf("%d rows asked, %d unbuilt, %d repeated asks", len(counted.calls), counted.misses, repeats)
+	if repeats > 0 {
+		t.Errorf("%d BuiltMoves calls repeat an earlier (state, count) of the same scratch", repeats)
+	}
+}

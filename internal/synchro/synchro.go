@@ -49,7 +49,7 @@ package synchro
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"sync"
 
 	"stoneage/internal/nfsm"
@@ -63,27 +63,72 @@ const (
 	featScan3        // simulation feature, second Γ_{t−1} pass (φ₃)
 )
 
-// cdesc describes one compiled state. The tuple (q, j, prevEmit, feature,
-// sigma, pos, phi1, phi2, acc, phiv) determines the state completely; its
-// packed (or, for wide alphabets, string) encoding keys the memoization.
-// Descriptors are stored by value in the machine's state table; δ̂ rows
-// live in a parallel flat table indexed state·(b+1)+count.
+// cdesc is the decoded form of one compiled state. The tuple (q, j,
+// prevEmit, feature, sigma, pos, phi1, phi2, acc, phiv, prev2, timer)
+// determines the state completely; the machine stores it only as its
+// packed key (see keyLayout), and buildRow decodes it into a stack cdesc.
+// The completed counts phiv are no field: they stay in the key's fixed
+// slots, and carry copies them from the key being expanded.
 type cdesc struct {
 	q        nfsm.State // underlying protocol state governing this phase
 	j        int        // trit of the simulated round, t mod 3
 	prevEmit int        // the node's port-visible letter as of round t−1
 	feature  int
-	sigma    int   // letter currently being counted (scan features)
-	pos      int   // position within the pausing grid or within a Γ pass
-	phi1     int   // φ₁ (scan2, scan3)
-	phi2     int   // φ₂ (scan3)
-	acc      int   // running clamped sum of the current pass
-	phiv     []int // completed counts for letters < sigma (multi-letter)
-	prev2    int   // tolerant pause states: port-visible letter of round t−2
-	timer    int   // tolerant pause states: consecutive stalled steps here
+	sigma    int // letter currently being counted (scan features)
+	pos      int // position within the pausing grid or within a Γ pass
+	phi1     int // φ₁ (scan2, scan3)
+	phi2     int // φ₂ (scan3)
+	acc      int // running clamped sum of the current pass
+	prev2    int // tolerant pause states: port-visible letter of round t−2
+	timer    int // tolerant pause states: consecutive stalled steps here
 
-	query  nfsm.Letter // λ̂ of this state, precomputed
-	output bool        // whether the underlying q is an output state
+	// carry takes the completed counts (for letters < sigma, multi-letter
+	// scans only) of the state being expanded, c.cur.
+	carry bool
+}
+
+// field is a bit field of a packed key: width bits at bit offset off of
+// the key's words, straddling two words where the layout puts it so. A
+// zero-width field reads 0 and ignores writes.
+type field struct{ off, width uint }
+
+func (f field) get(k []uint64) int {
+	i, s := f.off/64, f.off%64
+	v := k[i] >> s
+	if s+f.width > 64 {
+		v |= k[i+1] << (64 - s)
+	}
+	return int(v & (1<<f.width - 1))
+}
+
+// put ORs v into the field, which must still be zero.
+func (f field) put(k []uint64, v int) {
+	x := uint64(v) & (1<<f.width - 1)
+	i, s := f.off/64, f.off%64
+	k[i] |= x << s
+	if s+f.width > 64 {
+		k[i+1] |= x >> (64 - s)
+	}
+}
+
+// keyLayout places every descriptor field at a fixed bit offset of a
+// words-word key: the underlying state, trit, previous emission, feature,
+// scan letter, position, the three φ accumulators, |Σ|−1 fixed slots of
+// completed counts (their number is implied by sigma, so fixed slots stay
+// injective), and for the tolerant hybrid prev2+1 and the stall timer.
+// Plain machines leave the last two zero-width.
+type keyLayout struct {
+	q, j, prevEmit, feature, sigma, pos field
+	phi1, phi2, acc, prev2, timer       field
+	// phiv is completed-count slot 0; slot i sits i·phiv.width bits on.
+	phiv  field
+	nphiv int
+	words int
+}
+
+// slot returns completed-count slot i.
+func (l *keyLayout) slot(i int) field {
+	return field{l.phiv.off + uint(i)*l.phiv.width, l.phiv.width}
 }
 
 // Compiled is the asynchronous protocol Π̂ produced by Compile or
@@ -102,9 +147,9 @@ type Compiled struct {
 
 	// tolerant selects the αβ hybrid: pausing states carry a stall
 	// timer and re-transmit M_v(t−1) every timeout-th stalled step. The
-	// extra fields only enter descriptors (and intern keys) when set, so
-	// plain compiled machines are bit-identical to what Compile and
-	// CompileRound always produced.
+	// extra fields only enter the key layout when set, so plain compiled
+	// machines are bit-identical to what Compile and CompileRound always
+	// produced.
 	tolerant bool
 	timeout  int
 	// voted marks the αβv tier: the state machine is the tolerant
@@ -113,31 +158,30 @@ type Compiled struct {
 	// re-pulse backoff (none of which fit in per-node machine state).
 	voted bool
 
-	mu     sync.Mutex
-	states []cdesc
-	// rows holds the lazily computed δ̂ rows at state·(b+1)+count; the
-	// move storage itself comes from moveSlab, so interning and row
-	// construction stop allocating once the visited state space has
-	// been materialized (runs with fresh seeds keep exploring new
-	// corners of Q̂, and this machinery sits on the asynchronous
-	// engine's per-step path).
-	rows [][]nfsm.Move
-	// pindex interns descriptors by packed uint64 key when every field
-	// fits (packOK); index is the general string-key fallback.
-	pindex map[uint64]nfsm.State
-	index  map[string]nfsm.State
-	packOK bool
-	qb     uint // unused in packing itself; kept for the width audit
-	lb     uint // bits per letter field
-	pb     uint // bits for the pause-grid / scan position
-	bb     uint // bits per clamped-count field
-	p2b    uint // bits for prev2+1 (tolerant only)
-	tb     uint // bits for the stall timer (tolerant only)
-	// moveSlab chunk-allocates δ̂ row storage; rows are sub-slices with
-	// capacity clipped to their length, and a chunk is never moved once
-	// handed out.
-	moveSlab []nfsm.Move
-	inputs   []nfsm.State // compiled input states, parallel to source inputs
+	lay keyLayout
+	mu  sync.Mutex
+	// keys is the state table: state s is its packed key, the lay.words
+	// words at s·lay.words.
+	keys []uint64
+	// hot holds each state's query letter λ̂ with the Q_O bit at bit 31,
+	// so the per-step accessors decode no key.
+	hot []uint32
+	// ids is the intern table: linear probing over the hash of the key
+	// words, each slot a state ID plus one (0 is empty).
+	ids []uint32
+	// rows holds the row word of δ̂ at state·(b+1)+count, 0 until the row
+	// is built: chunk+1, offset and length of the row in the move slab
+	// (see rowSlab). Row storage is chunk-allocated, so interning and row
+	// construction stop allocating once the visited state space has been
+	// materialized (runs with fresh seeds keep exploring new corners of
+	// Q̂, and this machinery sits on the asynchronous engine's per-step
+	// path); a chunk never moves once handed out.
+	rows   []uint64
+	chunks [][]nfsm.Move
+	// cur and kbuf are key scratch: the key of the state buildRow
+	// expands, and the key being interned.
+	cur, kbuf []uint64
+	inputs    []nfsm.State // compiled input states, parallel to source inputs
 }
 
 var (
@@ -151,8 +195,7 @@ func Compile(p *nfsm.Protocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^", p, p, false, false)
-	return c, nil
+	return newCompiled(p.Name+"^", p, p, false, false, false)
 }
 
 // CompileRound applies the merged Theorem 3.1 + Theorem 3.4 compiler to a
@@ -162,8 +205,7 @@ func CompileRound(p *nfsm.RoundProtocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^", p, nil, true, false)
-	return c, nil
+	return newCompiled(p.Name+"^", p, nil, true, false, false)
 }
 
 // CompileTolerant applies the αβ-hybrid synchronizer to a single-letter
@@ -174,8 +216,7 @@ func CompileTolerant(p *nfsm.Protocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^αβ", p, p, false, true)
-	return c, nil
+	return newCompiled(p.Name+"^αβ", p, p, false, true, false)
 }
 
 // CompileRoundTolerant is the αβ-hybrid counterpart of CompileRound: a
@@ -185,8 +226,7 @@ func CompileRoundTolerant(p *nfsm.RoundProtocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^αβ", p, nil, true, true)
-	return c, nil
+	return newCompiled(p.Name+"^αβ", p, nil, true, true, false)
 }
 
 // CompileVoted produces the voted tier (name^αβv) of the tolerant
@@ -205,9 +245,7 @@ func CompileVoted(p *nfsm.Protocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^αβv", p, p, false, true)
-	c.voted = true
-	return c, nil
+	return newCompiled(p.Name+"^αβv", p, p, false, true, true)
 }
 
 // CompileRoundVoted is the voted-tier counterpart of CompileRound: a
@@ -217,12 +255,10 @@ func CompileRoundVoted(p *nfsm.RoundProtocol) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("synchro: %w", err)
 	}
-	c := newCompiled(p.Name+"^αβv", p, nil, true, true)
-	c.voted = true
-	return c, nil
+	return newCompiled(p.Name+"^αβv", p, nil, true, true, true)
 }
 
-func newCompiled(name string, src nfsm.Machine, single nfsm.SingleQuery, scanAll, tolerant bool) *Compiled {
+func newCompiled(name string, src nfsm.Machine, single nfsm.SingleQuery, scanAll, tolerant, voted bool) (*Compiled, error) {
 	c := &Compiled{
 		name:    name,
 		src:     src,
@@ -230,6 +266,10 @@ func newCompiled(name string, src nfsm.Machine, single nfsm.SingleQuery, scanAll
 		scanAll: scanAll,
 		nl:      src.NumLetters(),
 		b:       src.Bound(),
+		voted:   voted,
+	}
+	if c.NumLetters() > 1<<31 {
+		return nil, fmt.Errorf("synchro: %s: |Σ| = %d letters compile to more than 2^31", name, c.nl)
 	}
 	if tolerant {
 		c.tolerant = true
@@ -255,7 +295,7 @@ func newCompiled(name string, src nfsm.Machine, single nfsm.SingleQuery, scanAll
 		c.inputs = append(c.inputs, c.pauseStart(q, 1, int(src.InitialLetter()), p2))
 	}
 	c.mu.Unlock()
-	return c
+	return c, nil
 }
 
 func inputStates(m nfsm.Machine) []nfsm.State {
@@ -288,132 +328,179 @@ func widthOf(max int) uint {
 	return w
 }
 
-// packPlan decides whether descriptors pack injectively into a uint64
-// intern key: the underlying state, trit, previous emission, feature,
-// scan letter, position, the three φ accumulators, and |Σ|−1 fixed-slot
-// completed counts (their number is implied by sigma, so fixed slots
-// stay injective). Wide alphabets fall back to string keys.
+// packPlan lays the descriptor fields out in bits (see keyLayout), one
+// after the other, in ⌈bits/64⌉ words.
 func (c *Compiled) packPlan(srcStates int) {
-	c.lb = widthOf(c.nl - 1)
-	c.pb = widthOf(c.pauseGrid() - 1)
-	c.bb = widthOf(c.b)
-	c.qb = widthOf(srcStates - 1)
-	extra := 0
-	if c.nl > 1 {
-		extra = (c.nl - 1) * int(c.bb)
+	var off uint
+	next := func(width uint) field {
+		f := field{off, width}
+		off += width
+		return f
 	}
-	total := int(c.qb) + 2 + int(c.lb) + 2 + int(c.lb) + int(c.pb) + 3*int(c.bb) + extra
+	lb, bb := widthOf(c.nl-1), widthOf(c.b)
+	l := &c.lay
+	l.q = next(widthOf(srcStates - 1))
+	l.j = next(2)
+	l.prevEmit = next(lb)
+	l.feature = next(2)
+	l.sigma = next(lb)
+	l.pos = next(widthOf(c.pauseGrid() - 1))
+	l.phi1, l.phi2, l.acc = next(bb), next(bb), next(bb)
+	l.phiv = field{off, bb}
+	l.nphiv = max(c.nl-1, 0)
+	off += uint(l.nphiv) * bb
 	if c.tolerant {
-		c.p2b = widthOf(c.nl) // prev2+1 ranges over 0..|Σ|
-		c.tb = widthOf(c.timeout - 1)
-		total += int(c.p2b) + int(c.tb)
+		l.prev2 = next(widthOf(c.nl)) // prev2+1 ranges over 0..|Σ|
+		l.timer = next(widthOf(c.timeout - 1))
 	}
-	if total <= 64 {
-		c.packOK = true
-		c.pindex = make(map[uint64]nfsm.State)
-	} else {
-		c.index = make(map[string]nfsm.State)
-	}
+	l.words = int(off+63) / 64
+	c.cur = make([]uint64, l.words)
+	c.kbuf = make([]uint64, l.words)
+	c.ids = make([]uint32, 256)
 }
 
-// packKey encodes a descriptor into its uint64 intern key (packOK only).
-func (c *Compiled) packKey(d *cdesc) uint64 {
-	k := uint64(d.q)
-	k = k<<2 | uint64(d.j)
-	k = k<<c.lb | uint64(d.prevEmit)
-	k = k<<2 | uint64(d.feature)
-	k = k<<c.lb | uint64(d.sigma)
-	k = k<<c.pb | uint64(d.pos)
-	k = k<<c.bb | uint64(d.phi1)
-	k = k<<c.bb | uint64(d.phi2)
-	k = k<<c.bb | uint64(d.acc)
-	for i := 0; i < c.nl-1; i++ {
-		var v int
-		if i < len(d.phiv) {
-			v = d.phiv[i]
+// encode packs d into c.kbuf.
+func (c *Compiled) encode(d *cdesc) {
+	k, l := c.kbuf, &c.lay
+	clear(k)
+	l.q.put(k, int(d.q))
+	l.j.put(k, d.j)
+	l.prevEmit.put(k, d.prevEmit)
+	l.feature.put(k, d.feature)
+	l.sigma.put(k, d.sigma)
+	l.pos.put(k, d.pos)
+	l.phi1.put(k, d.phi1)
+	l.phi2.put(k, d.phi2)
+	l.acc.put(k, d.acc)
+	if d.carry {
+		for i := range l.nphiv {
+			l.slot(i).put(k, l.slot(i).get(c.cur))
 		}
-		k = k<<c.bb | uint64(v)
 	}
 	if c.tolerant {
-		k = k<<c.p2b | uint64(d.prev2+1)
-		k = k<<c.tb | uint64(d.timer)
+		l.prev2.put(k, d.prev2+1)
+		l.timer.put(k, d.timer)
 	}
-	return k
 }
 
-// rowSlab returns stable storage for an n-move δ̂ row: a sub-slice of the
-// current chunk with capacity clipped to its length (appends within a
-// chunk never move it, so handed-out rows stay valid forever).
-func (c *Compiled) rowSlab(n int) []nfsm.Move {
-	if len(c.moveSlab)+n > cap(c.moveSlab) {
-		sz := 4096
-		if n > sz {
-			sz = n
-		}
-		c.moveSlab = make([]nfsm.Move, 0, sz)
+// decode unpacks the scalar fields of key k; the completed counts stay
+// in its slots.
+func (c *Compiled) decode(k []uint64) cdesc {
+	l := &c.lay
+	d := cdesc{
+		q:        nfsm.State(l.q.get(k)),
+		j:        l.j.get(k),
+		prevEmit: l.prevEmit.get(k),
+		feature:  l.feature.get(k),
+		sigma:    l.sigma.get(k),
+		pos:      l.pos.get(k),
+		phi1:     l.phi1.get(k),
+		phi2:     l.phi2.get(k),
+		acc:      l.acc.get(k),
 	}
-	lo := len(c.moveSlab)
-	c.moveSlab = c.moveSlab[:lo+n]
-	return c.moveSlab[lo : lo+n : lo+n]
+	if c.tolerant {
+		d.prev2 = l.prev2.get(k) - 1
+		d.timer = l.timer.get(k)
+	}
+	return d
 }
 
-// row1 slab-allocates a singleton row.
-func (c *Compiled) row1(m nfsm.Move) []nfsm.Move {
-	r := c.rowSlab(1)
-	r[0] = m
-	return r
+// key returns state s's packed key. Callers hold c.mu; the slice is
+// valid until the next state is interned.
+func (c *Compiled) key(s nfsm.State) []uint64 {
+	w := c.lay.words
+	return c.keys[int(s)*w : int(s)*w+w]
 }
 
-// key renders the identifying tuple of a descriptor.
-func (d *cdesc) makeKey() string {
-	buf := make([]byte, 0, 48)
-	buf = strconv.AppendInt(buf, int64(d.q), 10)
-	for _, x := range []int{d.j, d.prevEmit, d.feature, d.sigma, d.pos, d.phi1, d.phi2, d.acc, d.prev2, d.timer} {
-		buf = append(buf, '|')
-		buf = strconv.AppendInt(buf, int64(x), 10)
+func hashKey(k []uint64) uint64 {
+	var h uint64
+	for _, x := range k {
+		h = (h ^ x) * 0x9e3779b97f4a7c15
 	}
-	buf = append(buf, '/')
-	for _, x := range d.phiv {
-		buf = strconv.AppendInt(buf, int64(x), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
+	return h ^ h>>32
 }
 
 // intern returns the canonical State for the descriptor, creating it if
-// needed. Hits allocate nothing (descriptors are passed by value and
-// keys are packed integers when the alphabet permits). Callers must
-// hold c.mu.
+// needed. Hits allocate nothing. Callers must hold c.mu.
 func (c *Compiled) intern(d cdesc) nfsm.State {
-	if c.packOK {
-		k := c.packKey(&d)
-		if s, ok := c.pindex[k]; ok {
+	c.encode(&d)
+	return c.internKey(&d)
+}
+
+// internKey returns the State whose key is c.kbuf, adding it, with d's
+// hot facts and an empty δ̂ row block, if it is new. Callers must hold
+// c.mu.
+func (c *Compiled) internKey(d *cdesc) nfsm.State {
+	mask := uint64(len(c.ids) - 1)
+	i := hashKey(c.kbuf) & mask
+	for ; c.ids[i] != 0; i = (i + 1) & mask {
+		if s := nfsm.State(c.ids[i] - 1); slices.Equal(c.key(s), c.kbuf) {
 			return s
 		}
-		s := c.addState(d)
-		c.pindex[k] = s
-		return s
 	}
-	k := d.makeKey()
-	if s, ok := c.index[k]; ok {
-		return s
+	s := nfsm.State(len(c.hot))
+	c.ids[i] = uint32(s) + 1
+	c.keys = append(c.keys, c.kbuf...)
+	h := uint32(c.queryOf(d))
+	if c.src.IsOutput(d.q) {
+		h |= 1 << 31
 	}
-	s := c.addState(d)
-	c.index[k] = s
+	c.hot = append(c.hot, h)
+	for i := 0; i <= c.b; i++ {
+		c.rows = append(c.rows, 0)
+	}
+	if 4*len(c.hot) > 3*len(c.ids) {
+		c.growIDs()
+	}
 	return s
 }
 
-// addState appends a new descriptor and its empty δ̂ row block. Callers
-// must hold c.mu.
-func (c *Compiled) addState(d cdesc) nfsm.State {
-	d.output = c.src.IsOutput(d.q)
-	d.query = c.queryOf(&d)
-	s := nfsm.State(len(c.states))
-	c.states = append(c.states, d)
-	for i := 0; i <= c.b; i++ {
-		c.rows = append(c.rows, nil)
+// growIDs doubles the intern table and re-files every state.
+func (c *Compiled) growIDs() {
+	c.ids = make([]uint32, 2*len(c.ids))
+	mask := uint64(len(c.ids) - 1)
+	for s := range c.hot {
+		i := hashKey(c.key(nfsm.State(s))) & mask
+		for c.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.ids[i] = uint32(s) + 1
 	}
-	return s
+}
+
+// rowSlab returns stable storage for an n-move δ̂ row and its row word:
+// the row is a span of the current chunk, and a chunk never moves once
+// handed out, so a row word stays valid forever.
+func (c *Compiled) rowSlab(n int) (uint64, []nfsm.Move) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last])+n > cap(c.chunks[last]) {
+		c.chunks = append(c.chunks, make([]nfsm.Move, 0, max(4096, n)))
+		last++
+	}
+	ch := c.chunks[last]
+	lo := len(ch)
+	c.chunks[last] = ch[:lo+n]
+	if n >= 1<<24 {
+		panic(fmt.Sprintf("synchro: a δ̂ row of %d moves", n))
+	}
+	// chunk+1 in the high 24 bits, the offset (below 4096 unless the
+	// chunk holds this row alone) in the next 16, the length in the low 24.
+	return uint64(last+1)<<40 | uint64(lo)<<24 | uint64(n), ch[lo : lo+n]
+}
+
+// row returns the δ̂ row a non-zero row word names, its capacity clipped
+// to its length.
+func (c *Compiled) row(w uint64) []nfsm.Move {
+	ch := c.chunks[w>>40-1]
+	lo, n := int(w>>24&(1<<16-1)), int(w&(1<<24-1))
+	return ch[lo : lo+n : lo+n]
+}
+
+// row1 slab-allocates a singleton row.
+func (c *Compiled) row1(m nfsm.Move) uint64 {
+	w, r := c.rowSlab(1)
+	r[0] = m
+	return w
 }
 
 // queryOf computes λ̂ for a descriptor.
@@ -443,11 +530,12 @@ func (c *Compiled) pauseStart(q nfsm.State, j, prevEmit, prev2 int) nfsm.State {
 }
 
 // scanStart interns the first simulation-feature state for the phase,
-// resetting to letter sigma. Callers must hold c.mu.
-func (c *Compiled) scanStart(d *cdesc, sigma int, phiv []int) nfsm.State {
+// resetting to letter sigma with the completed counts of the state being
+// expanded (its key is c.cur). Callers must hold c.mu.
+func (c *Compiled) scanStart(d *cdesc, sigma int) nfsm.State {
 	return c.intern(cdesc{
 		q: d.q, j: d.j, prevEmit: d.prevEmit,
-		feature: featScan1, sigma: sigma, phiv: phiv,
+		feature: featScan1, sigma: sigma, carry: true,
 	})
 }
 
@@ -464,7 +552,7 @@ func (c *Compiled) firstSigma(q nfsm.State) int {
 func (c *Compiled) NumStates() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.states)
+	return len(c.hot)
 }
 
 // NumLetters implements nfsm.Machine: |Σ̂| = 3(|Σ|+1)².
@@ -501,14 +589,14 @@ func (c *Compiled) InputFor(q nfsm.State) (nfsm.State, error) {
 func (c *Compiled) IsOutput(s nfsm.State) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.states[s].output
+	return c.hot[s]>>31 != 0
 }
 
 // Underlying returns the source-protocol state a compiled state simulates.
 func (c *Compiled) Underlying(s nfsm.State) nfsm.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.states[s].q
+	return nfsm.State(c.lay.q.get(c.key(s)))
 }
 
 // IsPhaseStart reports whether s is the first pausing state of a
@@ -518,8 +606,8 @@ func (c *Compiled) Underlying(s nfsm.State) nfsm.State {
 func (c *Compiled) IsPhaseStart(s nfsm.State) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d := &c.states[s]
-	return d.feature == featPause && d.pos == 0 && d.timer == 0
+	k := c.key(s)
+	return c.lay.feature.get(k) == featPause && c.lay.pos.get(k) == 0 && c.lay.timer.get(k) == 0
 }
 
 // DecodeStates maps a vector of compiled states back to source states.
@@ -535,7 +623,7 @@ func (c *Compiled) DecodeStates(states []nfsm.State) []nfsm.State {
 func (c *Compiled) QueryLetter(s nfsm.State) nfsm.Letter {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.states[s].query
+	return nfsm.Letter(c.hot[s] & (1<<31 - 1))
 }
 
 // Moves implements nfsm.Machine: δ̂ applied to compiled state s observing
@@ -543,16 +631,16 @@ func (c *Compiled) QueryLetter(s nfsm.State) nfsm.Letter {
 func (c *Compiled) Moves(s nfsm.State, counts []nfsm.Count) []nfsm.Move {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cnt := int(counts[c.states[s].query])
+	cnt := int(counts[c.hot[s]&(1<<31-1)])
 	ri := int(s)*(c.b+1) + cnt
-	if row := c.rows[ri]; row != nil {
-		return row
+	if w := c.rows[ri]; w != 0 {
+		return c.row(w)
 	}
-	row := c.buildRow(s, cnt)
-	// buildRow may have interned states and grown c.rows; indexed
-	// assignment into the pre-existing prefix stays valid.
-	c.rows[ri] = row
-	return row
+	w := c.buildRow(s, cnt)
+	// buildRow may have interned states and grown c.rows, so the
+	// assignment must follow the call.
+	c.rows[ri] = w
+	return c.row(w)
 }
 
 // BuiltMoves returns δ̂'s row for (s, counts) when an earlier Moves call
@@ -562,16 +650,20 @@ func (c *Compiled) Moves(s nfsm.State, counts []nfsm.Count) []nfsm.Move {
 func (c *Compiled) BuiltMoves(s nfsm.State, counts []nfsm.Count) ([]nfsm.Move, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	row := c.rows[int(s)*(c.b+1)+int(counts[c.states[s].query])]
-	return row, row != nil
+	w := c.rows[int(s)*(c.b+1)+int(counts[c.hot[s]&(1<<31-1)])]
+	if w == 0 {
+		return nil, false
+	}
+	return c.row(w), true
 }
 
-// buildRow computes the δ̂ row for (state, count). It works on a value
-// copy of the descriptor: interning the successor state may grow the
-// state table, which would invalidate a pointer into it. Callers hold
-// c.mu.
-func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
-	d := c.states[s]
+// buildRow computes the δ̂ row for (state, count) and returns its row
+// word. It decodes the state's key into a stack descriptor and copies
+// the key to c.cur, where the completed counts are read: interning a
+// successor may grow the key arena. Callers hold c.mu.
+func (c *Compiled) buildRow(s nfsm.State, cnt int) uint64 {
+	copy(c.cur, c.key(s))
+	d := c.decode(c.cur)
 	eps := nfsm.NoLetter
 	switch d.feature {
 	case featPause:
@@ -609,7 +701,7 @@ func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
 			return c.row1(nfsm.Move{Next: next, Emit: eps})
 		}
 		// Pausing complete: enter the simulation feature.
-		next := c.scanStart(&d, c.firstSigma(d.q), d.phiv)
+		next := c.scanStart(&d, c.firstSigma(d.q))
 		return c.row1(nfsm.Move{Next: next, Emit: eps})
 
 	case featScan1, featScan2, featScan3:
@@ -621,7 +713,7 @@ func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
 			next := c.intern(cdesc{
 				q: d.q, j: d.j, prevEmit: d.prevEmit,
 				feature: d.feature, sigma: d.sigma, pos: d.pos + 1,
-				phi1: d.phi1, phi2: d.phi2, acc: acc, phiv: d.phiv,
+				phi1: d.phi1, phi2: d.phi2, acc: acc, carry: true,
 			})
 			return c.row1(nfsm.Move{Next: next, Emit: eps})
 		}
@@ -631,31 +723,36 @@ func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
 			next := c.intern(cdesc{
 				q: d.q, j: d.j, prevEmit: d.prevEmit,
 				feature: featScan2, sigma: d.sigma,
-				phi1: acc, phiv: d.phiv,
+				phi1: acc, carry: true,
 			})
 			return c.row1(nfsm.Move{Next: next, Emit: eps})
 		case featScan2:
 			next := c.intern(cdesc{
 				q: d.q, j: d.j, prevEmit: d.prevEmit,
 				feature: featScan3, sigma: d.sigma,
-				phi1: d.phi1, phi2: acc, phiv: d.phiv,
+				phi1: d.phi1, phi2: acc, carry: true,
 			})
 			return c.row1(nfsm.Move{Next: next, Emit: eps})
 		default: // featScan3
 			if acc != d.phi1 {
 				// A relevant port changed mid-scan: restart this letter.
 				// φ₁ can only decrease, so this happens at most b times.
-				return c.row1(nfsm.Move{Next: c.scanStart(&d, d.sigma, d.phiv), Emit: eps})
+				return c.row1(nfsm.Move{Next: c.scanStart(&d, d.sigma), Emit: eps})
 			}
 			phi := d.phi1 + d.phi2
 			if phi > c.b {
 				phi = c.b
 			}
 			if c.scanAll && d.sigma+1 < c.nl {
-				phiv := make([]int, len(d.phiv)+1)
-				copy(phiv, d.phiv)
-				phiv[len(d.phiv)] = phi
-				return c.row1(nfsm.Move{Next: c.scanStart(&d, d.sigma+1, phiv), Emit: eps})
+				// Letter sigma is complete: its count takes the next
+				// fixed slot, which is still zero in c.cur.
+				next := cdesc{
+					q: d.q, j: d.j, prevEmit: d.prevEmit,
+					feature: featScan1, sigma: d.sigma + 1, carry: true,
+				}
+				c.encode(&next)
+				c.lay.slot(d.sigma).put(c.kbuf, phi)
+				return c.row1(nfsm.Move{Next: c.internKey(&next), Emit: eps})
 			}
 			return c.applyDelta(&d, phi)
 		}
@@ -666,7 +763,8 @@ func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
 
 // applyDelta finishes the simulation phase: it evaluates the source δ on
 // the reconstructed counts, and for every source move emits the compiled
-// message M_v(t) and enters the pausing feature of the next round.
+// message M_v(t) and enters the pausing feature of the next round. The
+// completed counts are read from c.cur, the expanded state's key.
 //
 // The components of M_v(t) are the *port-visible* letters of rounds t−1
 // and t: the last letter the node actually transmitted up to that round,
@@ -676,18 +774,18 @@ func (c *Compiled) buildRow(s nfsm.State, cnt int) []nfsm.Move {
 // lose every letter a temporarily silent node still presents. For
 // protocols that transmit in every round the two notions coincide and
 // this is the paper's construction verbatim. Callers hold c.mu.
-func (c *Compiled) applyDelta(d *cdesc, lastPhi int) []nfsm.Move {
+func (c *Compiled) applyDelta(d *cdesc, lastPhi int) uint64 {
 	counts := make([]nfsm.Count, c.nl)
 	if c.scanAll {
-		for i, v := range d.phiv {
-			counts[i] = nfsm.Count(v)
+		for i := range c.lay.nphiv {
+			counts[i] = nfsm.Count(c.lay.slot(i).get(c.cur))
 		}
 		counts[c.nl-1] = nfsm.Count(lastPhi)
 	} else {
 		counts[d.sigma] = nfsm.Count(lastPhi)
 	}
 	srcMoves := c.src.Moves(d.q, counts)
-	out := c.rowSlab(len(srcMoves))
+	w, out := c.rowSlab(len(srcMoves))
 	for i, mv := range srcMoves {
 		cur := d.prevEmit // ε emission: the port keeps showing the old letter
 		if mv.Emit != nfsm.NoLetter {
@@ -703,7 +801,7 @@ func (c *Compiled) applyDelta(d *cdesc, lastPhi int) []nfsm.Move {
 			Emit: c.encLetter(d.prevEmit, cur, d.j),
 		}
 	}
-	return out
+	return w
 }
 
 // PhaseSteps returns an upper bound on the number of compiled steps in one
@@ -743,5 +841,5 @@ func (c *Compiled) Voted() bool { return c.voted }
 func (c *Compiled) RePulseSource(s nfsm.State) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.states[s].feature == featPause
+	return c.lay.feature.get(c.key(s)) == featPause
 }
