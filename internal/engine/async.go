@@ -332,6 +332,13 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 		as.seen = grow(as.seen, n, false)
 		topoAt, bySender = topologicalAt(batches)
 	}
+	// rev routes a delivery to its receiver's port slot. A run that
+	// rebinds the topology keys deliveries by sender (bySender) and
+	// resolves the slot at receipt, so it never reads the table.
+	var rev []int32
+	if !bySender {
+		rev = cur.RevPort()
+	}
 
 	// model/chStats: the unreliable-channel axis. A reordering model
 	// voids the per-edge FIFO clamp (overtakes are counted instead).
@@ -1023,7 +1030,7 @@ func (p *Program) RunAsyncReusing(cfg AsyncConfig, scr *Scratch) (*AsyncResult, 
 				sent = true
 				dst := int32(v)
 				if !bySender {
-					dst = cur.NbrOff[u] + cur.RevPort[k]
+					dst = cur.NbrOff[u] + rev[k]
 				}
 				for c := 0; c < K; c++ {
 					fates := reliable[:]

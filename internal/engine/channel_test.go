@@ -125,7 +125,9 @@ func compareAsync(t *testing.T, m nfsm.Machine, g *graph.Graph, cfg func() engin
 // TestDifferentialSyncChannel pins the compiled sync executor to the
 // reference under every channel model, with and without Byzantine
 // nodes, at several worker counts (channel runs are sequential, but the
-// flag must not change results).
+// flag must not change results). Each case is a parallel subtest: the
+// cases share only their pure round protocols and graphs, and each run
+// compiles its own program.
 func TestDifferentialSyncChannel(t *testing.T) {
 	cases := []diffCase{
 		{"ssmis/gnp", ssmis.Protocol(), graph.GnpConnected(96, 5.0/96, xrand.New(31))},
@@ -137,6 +139,7 @@ func TestDifferentialSyncChannel(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s/model=%s/workers=%d", tc.name, model, workers)
 				t.Run(name, func(t *testing.T) {
+					t.Parallel()
 					compareSync(t, tc.m, tc.g, engine.SyncConfig{
 						Seed: uint64(40 + mi), Workers: workers,
 						MaxRounds: 1 << 12, Channel: model,
@@ -145,6 +148,7 @@ func TestDifferentialSyncChannel(t *testing.T) {
 			}
 		}
 		t.Run(tc.name+"/byzantine", func(t *testing.T) {
+			t.Parallel()
 			compareSync(t, tc.m, tc.g, engine.SyncConfig{
 				Seed: 50, MaxRounds: 1 << 12,
 				Scenario: byzScenario(),

@@ -153,7 +153,7 @@ func (c *MachineCode) packable() {
 // Bind attaches the machine code to a graph, building the CSR snapshot.
 // The cost is O(n + m), with no retabulation of δ.
 func (c *MachineCode) Bind(g *graph.Graph) *Program {
-	return &Program{MachineCode: c, g: g, csr: g.CSR()}
+	return c.bind(g, g.CSR())
 }
 
 // BindCSR attaches the machine code directly to a CSR snapshot with no
@@ -162,7 +162,19 @@ func (c *MachineCode) Bind(g *graph.Graph) *Program {
 // The resulting program runs every static run, channel runs included;
 // scenario runs need the mutable Graph and report an error.
 func (c *MachineCode) BindCSR(csr *graph.CSR) *Program {
-	return &Program{MachineCode: c, csr: csr}
+	return c.bind(nil, csr)
+}
+
+// bind builds the snapshot's reverse-port table now, as set-up, unless
+// a default sync run takes the bit-plane backend, which never reads it;
+// a run that does need it there (forced flat, async) builds it on first
+// use.
+func (c *MachineCode) bind(g *graph.Graph, csr *graph.CSR) *Program {
+	p := &Program{MachineCode: c, g: g, csr: csr}
+	if packed, _ := p.packedBackend("", false); !packed {
+		csr.RevPort()
+	}
+	return p
 }
 
 // Compile lowers machine m against graph g: CompileMachine followed by

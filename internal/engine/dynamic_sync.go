@@ -155,7 +155,7 @@ func (e *flatKernel) applyBatches(round int, res *SyncResult) error {
 		if topo {
 			next := d.g.CSR()
 			rc.rebind(next, graph.RemapPorts(e.csr, next))
-			e.csr = next
+			e.csr, e.rev = next, next.RevPort()
 		}
 		for _, v := range b.ResetSet(d.sc.Reset, d.g) {
 			if d.live.Awake(v) {
@@ -238,7 +238,7 @@ func (e *flatKernel) deliverChannel(round int) {
 					}
 				}
 				if delay == 0 {
-					rc.setPort(u, cur.NbrOff[u]+cur.RevPort[k], f.Letter)
+					rc.setPort(u, cur.NbrOff[u]+e.rev[k], f.Letter)
 				} else {
 					c.pend = append(c.pend, syncPend{due: round + delay, from: v, to: int32(u), letter: f.Letter})
 				}

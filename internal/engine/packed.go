@@ -17,12 +17,14 @@ import (
 // letter), exact counts per letter (one contiguous block per letter and
 // word, updated by a fixed-depth ripple and clamped word-parallel by
 // threshold masks), a stability plane that skips nodes whose next
-// evaluation is provably a lone silent self-loop, and a sink plane of
-// nodes that can never change again, whose counts are no longer kept
-// (DESIGN.md, "Bit-plane execution"). nfsm.PickMove is a stateless hash
-// of (seed, node, round) and a skipped node's step is a no-op, so the
-// kernel is bit-identical to the flat one at every worker count
-// (TestDifferentialPackedSync, the packed arm of FuzzDifferentialSync).
+// evaluation is provably a lone silent self-loop, a sink plane of
+// nodes that can never change again, whose counts are no longer kept,
+// and a change plane plus old-emission planes that carry the round's
+// changed emissions from compute to deliver (DESIGN.md, "Bit-plane
+// execution"). nfsm.PickMove is a stateless hash of (seed, node, round)
+// and a skipped node's step is a no-op, so the kernel is bit-identical
+// to the flat one at every worker count (TestDifferentialPackedSync,
+// the packed arm of FuzzDifferentialSync).
 
 // Backend names accepted by SyncConfig.Backend.
 const (
@@ -112,10 +114,9 @@ func planeWidth(k int) int {
 	return bits.Len(uint(k - 1))
 }
 
-// packedEmit records one changed emission: a last-emission letter moved
-// old → nw, so one count of every neighbor moves with it. In an emitter
-// list v is the emitter; in a route bucket it is the neighbor whose
-// counts change.
+// packedEmit is one routed count update: one unit of node v's count
+// moves from letter old to letter nw, because a neighbor's emission
+// changed.
 type packedEmit struct {
 	v       int32
 	old, nw int16
@@ -137,22 +138,27 @@ type packedScratch struct {
 	cnt      []uint64   // count blocks: bit j of letter l, word w at (l*nw+w)*wC+j
 	stable   []uint64
 	sink     []uint64 // nodes in a sink state; their counts go stale
-	tail     uint64   // valid-lane mask of the last word
+	// chg marks the nodes whose emission changed this round, and oldP
+	// holds their previous letter (valid only where chg is set): the
+	// round's changed emissions, in node order. compute sets them;
+	// deliver, or route on a sharded run, consumes and clears chg.
+	chg  []uint64
+	oldP [][]uint64
+	// sinkSnap is sink as of the last deliver barrier. A sink never
+	// leaves its state, so route may skip its targets; it cannot read
+	// sink itself while other shards compute.
+	sinkSnap []uint64
+	tail     uint64 // valid-lane mask of the last word
 
-	// Per-worker buffers: changed-emission lists, per-letter clamped-count
-	// words, and route buckets (see routeBuckets).
-	emits    [][]packedEmit
-	cw0, cw1 [][]uint64
-	buckets  [][][]packedEmit
+	buckets [][][]packedEmit // per-worker route buckets (see routeBuckets)
 }
 
 // footprintBytes reports the bytes the packed run state retains — the
 // bytes-per-node regression guard reads it.
 func (ps *packedScratch) footprintBytes() int {
 	words := cap(ps.planeBuf)
-	for w := range ps.emits {
-		words += cap(ps.cw0[w]) + cap(ps.cw1[w]) + cap(ps.emits[w])
-		for _, b := range ps.buckets[w] {
+	for _, bk := range ps.buckets {
+		for _, b := range bk {
 			words += cap(b)
 		}
 	}
@@ -177,7 +183,7 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 	}
 	ps.nw, ps.nl, ps.wQ, ps.wE, ps.wC = nw, p.nl, pc.wQ, pc.wE, wC
 
-	planes := pc.wQ + pc.wE + p.nl*wC + 2
+	planes := pc.wQ + 2*pc.wE + p.nl*wC + 4
 	need := planes * nw
 	if cap(ps.planeBuf) < need {
 		ps.planeBuf = make([]uint64, need)
@@ -196,9 +202,11 @@ func (ps *packedScratch) reset(p *Program, pc *packedCode, states []nfsm.State) 
 	}
 	ps.stP = slice(pc.wQ)
 	ps.leP = slice(pc.wE)
+	ps.oldP = slice(pc.wE)
 	nc := p.nl * wC * nw
 	ps.cnt, buf = buf[:nc:nc], buf[nc:]
-	ps.stable, ps.sink = buf[:nw:nw], buf[nw:2*nw:2*nw]
+	flags := slice(4)
+	ps.stable, ps.sink, ps.chg, ps.sinkSnap = flags[0], flags[1], flags[2], flags[3]
 
 	ps.tail = ^uint64(0)
 	if r := n & 63; r != 0 {
@@ -268,17 +276,12 @@ type packedKernel struct {
 	ps      *packedScratch
 	seed    uint64
 	shardOf []int32 // plane word → owning shard (sharded runs only)
+	lo, hi  []int   // shard s owns plane words [lo[s], hi[s])
 }
 
 func (e *packedKernel) shard(_ *Scratch, pool *shardPool) {
-	ps, w := e.ps, len(pool.lo)
-	e.shardOf = pool.shardOf
-	ps.emits = perWorker(ps.emits, w)
-	ps.cw0, ps.cw1 = perWorker(ps.cw0, w), perWorker(ps.cw1, w)
-	for i := 0; i < w; i++ {
-		ps.cw0[i], ps.cw1[i] = grow(ps.cw0[i], ps.nl, 0), grow(ps.cw1[i], ps.nl, 0)
-	}
-	ps.buckets = routeBuckets(ps.buckets, w)
+	e.shardOf, e.lo, e.hi = pool.shardOf, pool.lo, pool.hi
+	e.ps.buckets = routeBuckets(e.ps.buckets, len(pool.lo))
 }
 
 func (e *packedKernel) decode(states []nfsm.State) { e.ps.decodeStates(states) }
@@ -287,27 +290,27 @@ func (e *packedKernel) decode(states []nfsm.State) { e.ps.decodeStates(states) }
 // live word it derives every letter's clamped count for all 64 lanes by
 // threshold masks over the letter's count block (ge1 = any bit set;
 // ge2 = any bit ≥ 1 set; ge3 = any bit ≥ 2 set, or bits 1 and 0 both
-// set), loads the word's state and emission planes into locals, and
-// walks the live lanes: the same δ rows and PickMove coin as the flat
-// kernel, the new state and emission masked into the locals, a changed
-// emission recorded. A node whose upcoming observation (counts are
-// frozen during compute) hits the settled bitset gets its stability bit
-// and is skipped until a delivery disturbs its counts; a node entering
-// a sink state gets its sink bit. The locals are written back once per
-// word.
+// set) and gathers them into each live lane's δ-index offset, loads the
+// word's state and emission planes into locals, and walks the live
+// lanes: the same δ rows and PickMove coin as the flat kernel, the new
+// state and emission masked into the locals, a changed emission's lane
+// set in the word's change mask. A node whose upcoming observation
+// (counts are frozen during compute) hits the settled bitset gets its
+// stability bit and is skipped until a delivery disturbs its counts; a
+// node entering a sink state gets its sink bit. The locals are written
+// back once per word, the emission words only when a lane changed,
+// after saving the old ones to the old-emission planes.
 func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 	p, pc, ps := e.p, e.pc, e.ps
 	seed := e.seed
 	mask := p.outMask
-	emitters := ps.emits[worker][:0]
-	defer func() { ps.emits[worker] = emitters }()
-	nl, b := ps.nl, p.b
-	c0, c1, pow := ps.cw0[worker][:nl], ps.cw1[worker][:nl], p.pow[:nl]
+	b, pow := p.b, p.pow[:ps.nl]
 	var tx int64
 	var outDelta int
 	live := false
 	var stBuf, emBuf [16]uint64 // the word's state and emission plane words (wQ, wE ≤ 15)
 	st, em := stBuf[:ps.wQ], emBuf[:ps.wE]
+	var ix [64]uint64 // per live lane: its clamped counts' δ-index offset
 
 	for w := loW; w < hiW; w++ {
 		act := ^ps.stable[w]
@@ -318,8 +321,14 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 			continue
 		}
 		live = true
-		// Word-parallel clamped counts for every letter.
-		for l := 0; l < nl; l++ {
+		// Word-parallel clamped counts for every letter, gathered into
+		// each live lane's δ-index offset by a walk over the set digit
+		// bits: a lane costs one add per nonzero digit, not one
+		// shift-and-multiply per letter.
+		for a := act; a != 0; a &= a - 1 {
+			ix[bits.TrailingZeros64(a)] = 0
+		}
+		for l, pw := range pow {
 			blk := ps.countBlock(l, w)
 			var ge2, ge3 uint64
 			if len(blk) >= 2 {
@@ -329,14 +338,22 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 				ge2 = blk[1] | ge3
 				ge3 |= blk[1] & blk[0]
 			}
+			// The clamped count's two binary digits, c0 + 2·c1.
 			ge1 := blk[0] | ge2
+			var c0, c1 uint64
 			switch b {
 			case 1:
-				c0[l], c1[l] = ge1, 0
+				c0 = ge1
 			case 2:
-				c0[l], c1[l] = ge1^ge2, ge2
+				c0, c1 = ge1^ge2, ge2
 			default: // b == 3
-				c0[l], c1[l] = (ge1^ge2)|ge3, ge2
+				c0, c1 = (ge1^ge2)|ge3, ge2
+			}
+			for x := c0 & act; x != 0; x &= x - 1 {
+				ix[bits.TrailingZeros64(x)] += pw
+			}
+			for x := c1 & act; x != 0; x &= x - 1 {
+				ix[bits.TrailingZeros64(x)] += 2 * pw
 			}
 		}
 		for j := range st {
@@ -345,7 +362,7 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 		for j := range em {
 			em[j] = ps.leP[j][w]
 		}
-		var stab, sink uint64
+		var stab, sink, chg uint64
 		for a := act; a != 0; a &= a - 1 {
 			i := uint(bits.TrailingZeros64(a))
 			v := w<<6 | int(i)
@@ -354,11 +371,7 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 			for j, x := range st {
 				q |= int(x>>i&1) << j
 			}
-			idx := uint64(0)
-			for l, x := range c0 {
-				idx += (x>>i&1 | (c1[l]>>i&1)<<1) * pow[l]
-			}
-			eIdx := q*p.pdim + int(idx)
+			eIdx := q*p.pdim + int(ix[i&63])
 			row := p.delta[eIdx]
 			if len(row) == 0 {
 				return shardResult{tx: tx, outDelta: outDelta, err: deltaEmptyErr(v, nfsm.State(q), round)}
@@ -379,7 +392,7 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 					for j, x := range em {
 						em[j] = x&^bit | uint64(ne>>j&1)<<i
 					}
-					emitters = append(emitters, packedEmit{v: int32(v), old: int16(le), nw: int16(ne)})
+					chg |= bit
 				}
 			}
 			e2 := eIdx + (nq2-q)*p.pdim
@@ -389,49 +402,112 @@ func (e *packedKernel) compute(loW, hiW, round, worker int) shardResult {
 		for j, x := range st {
 			ps.stP[j][w] = x
 		}
-		for j, x := range em {
-			ps.leP[j][w] = x
+		// A lane changes its emission at most once per round, so the
+		// word's emission planes as loaded hold every changed lane's old
+		// letter.
+		if chg != 0 {
+			ps.chg[w] = chg
+			for j, x := range em {
+				ps.oldP[j][w] = ps.leP[j][w]
+				ps.leP[j][w] = x
+			}
 		}
 		ps.stable[w] |= stab
 		ps.sink[w] |= sink
 	}
 	if len(e.shardOf) > 0 {
-		e.route(worker, emitters)
+		e.route(worker, loW, hiW)
 	}
 	return shardResult{tx: tx, outDelta: outDelta, frozen: !live}
 }
 
-// route buckets the worker's changed emissions by destination shard.
-func (e *packedKernel) route(worker int, emitters []packedEmit) {
+// chgWord is one plane word's changed emissions: the change mask and
+// the old and new emission plane words, loaded once per word.
+type chgWord struct {
+	mask   uint64
+	ob, nb [16]uint64
+}
+
+// takeChanges loads plane word w's changed emissions into cw and clears
+// the word's change bits; it reports whether any lane changed.
+func (ps *packedScratch) takeChanges(w int, cw *chgWord) bool {
+	cw.mask = ps.chg[w]
+	if cw.mask == 0 {
+		return false
+	}
+	ps.chg[w] = 0
+	for j := 0; j < ps.wE; j++ {
+		cw.ob[j], cw.nb[j] = ps.oldP[j][w], ps.leP[j][w]
+	}
+	return true
+}
+
+// letters returns lane i's old and new emission.
+func (cw *chgWord) letters(i uint, wE int) (old, nw int16) {
+	for j := 0; j < wE; j++ {
+		old |= int16(cw.ob[j]>>i&1) << j
+		nw |= int16(cw.nb[j]>>i&1) << j
+	}
+	return old, nw
+}
+
+// route buckets the count updates of the changed emissions in the
+// worker's word range [loW, hiW), in node order, by destination shard.
+// A target that was a sink at the last deliver barrier would drop its
+// update, so it gets no bucket entry; a sink entered since is caught by
+// move.
+func (e *packedKernel) route(worker, loW, hiW int) {
 	csr := e.p.csr
 	off, nbr := csr.NbrOff, csr.NbrDat
-	bk := e.ps.buckets[worker]
+	ps := e.ps
+	snap := ps.sinkSnap
+	bk := ps.buckets[worker]
 	for s := range bk {
 		bk[s] = bk[s][:0]
 	}
-	for _, em := range emitters {
-		for k := off[em.v]; k < off[em.v+1]; k++ {
-			u := nbr[k]
-			s := e.shardOf[u>>6]
-			bk[s] = append(bk[s], packedEmit{v: u, old: em.old, nw: em.nw})
+	var cw chgWord
+	for w := loW; w < hiW; w++ {
+		if !ps.takeChanges(w, &cw) {
+			continue
+		}
+		for c := cw.mask; c != 0; c &= c - 1 {
+			i := uint(bits.TrailingZeros64(c))
+			old, nw := cw.letters(i, ps.wE)
+			v := w<<6 | int(i)
+			for k := off[v]; k < off[v+1]; k++ {
+				u := nbr[k]
+				if snap[u>>6]>>(uint(u)&63)&1 != 0 {
+					continue
+				}
+				s := e.shardOf[u>>6]
+				bk[s] = append(bk[s], packedEmit{v: u, old: old, nw: nw})
+			}
 		}
 	}
 }
 
-// deliver is the sequential deliver phase: every changed emission moves
-// one unit of every neighbor's count from the old letter to the new one
-// and wakes the neighbor. The ±1 updates are exact, so any application
-// order yields the same planes — which is what makes the sharded
-// variant bit-identical. A neighbor in a sink state never reads its
-// counts again, so it gets neither the update nor the wake.
+// deliver is the sequential deliver phase: every changed emission, in
+// node order, moves one unit of every neighbor's count from the old
+// letter to the new one and wakes the neighbor. The ±1 updates are
+// exact, so any application order yields the same planes — which is
+// what makes the sharded variant bit-identical. A neighbor in a sink
+// state never reads its counts again, so it gets neither the update
+// nor the wake.
 func (e *packedKernel) deliver(int) {
 	csr := e.p.csr
 	off, nbr := csr.NbrOff, csr.NbrDat
 	ps := e.ps
-	for _, lst := range ps.emits {
-		for _, em := range lst {
-			for k := off[em.v]; k < off[em.v+1]; k++ {
-				ps.move(em.old, em.nw, nbr[k])
+	var cw chgWord
+	for w := range ps.chg {
+		if !ps.takeChanges(w, &cw) {
+			continue
+		}
+		for c := cw.mask; c != 0; c &= c - 1 {
+			i := uint(bits.TrailingZeros64(c))
+			old, nw := cw.letters(i, ps.wE)
+			v := w<<6 | int(i)
+			for k := off[v]; k < off[v+1]; k++ {
+				ps.move(old, nw, nbr[k])
 			}
 		}
 	}
@@ -439,8 +515,9 @@ func (e *packedKernel) deliver(int) {
 
 // deliverShard applies exactly the count updates routed to the shard;
 // they commute, so the planes are identical at every worker count. The
-// sink test sits here, after the compute barrier, and not in route:
-// route runs during compute, while other shards write their sink words.
+// sink test sits here, after the compute barrier: route runs during
+// compute, while other shards write their sink words, so it reads only
+// the snapshot each shard takes of its own sink words at this barrier.
 func (e *packedKernel) deliverShard(shard int) {
 	ps := e.ps
 	for w := range ps.buckets {
@@ -448,6 +525,8 @@ func (e *packedKernel) deliverShard(shard int) {
 			ps.move(d.old, d.nw, d.v)
 		}
 	}
+	lo, hi := e.lo[shard], e.hi[shard]
+	copy(ps.sinkSnap[lo:hi], ps.sink[lo:hi])
 }
 
 // move shifts one unit of node u's count from letter old to letter nw

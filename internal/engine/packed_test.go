@@ -6,6 +6,7 @@ package engine
 // end-to-end.
 
 import (
+	"slices"
 	"testing"
 
 	"stoneage/internal/graph"
@@ -36,13 +37,15 @@ func packedTestProto() *nfsm.Protocol {
 
 // packedFootprintBudget is the regression ceiling for the packed run
 // state, in bytes per node. Every plane costs 1/8 B per node: for MIS
-// on a sparse graph that is 3 state planes, 3 last-emission planes,
-// |Σ| = 7 count blocks of ⌈log₂(Δ+1)⌉ words (35 planes at Δ = 25), and
-// the stability and sink planes, ~5.4 B/node in all; the sequential
-// emitter buffer adds up to 8 B/node in the worst all-changed round.
-// 16 B/node leaves headroom without letting the layout quietly regress
-// toward the flat engine's ~100 B/node.
-const packedFootprintBudget = 16
+// on a sparse graph that is 3 state planes, 3 last-emission planes, 3
+// old-emission planes, |Σ| = 7 count blocks of ⌈log₂(Δ+1)⌉ words (35
+// planes at Δ = 25), and the stability, sink, change and sink-snapshot
+// planes, ~6 B/node in all. The round's changed emissions live in
+// those planes, not in a list that grows with the changed nodes, so
+// the state is the same size in every round. 8 B/node leaves headroom
+// without letting the layout quietly regress toward the flat engine's
+// ~100 B/node.
+const packedFootprintBudget = 8
 
 func TestPackedFootprint(t *testing.T) {
 	const n = 1 << 16
@@ -69,6 +72,124 @@ func TestPackedFootprint(t *testing.T) {
 	if perNode := float64(got) / n; perNode > packedFootprintBudget {
 		t.Errorf("packed run state = %d bytes (%.2f B/node), budget %d B/node", got, perNode, packedFootprintBudget)
 	}
+}
+
+// TestPackedRunBuildsNoReversePorts pins who builds a CSR's reverse
+// ports: a binding that auto-selects the packed backend leaves them
+// unbuilt through default runs, sequential and sharded; a forced flat
+// run builds them on first use; a binding below the auto-selection
+// size builds them at bind.
+func TestPackedRunBuildsNoReversePorts(t *testing.T) {
+	const n = packedAutoThreshold
+	csr, err := graph.BuildCSR(graph.GnpConnectedStream(n, 4.0/n, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := CompileMachine(packedTestProto()).BindCSR(csr)
+	for _, workers := range []int{1, 2} {
+		if _, err := prog.RunSync(SyncConfig{Seed: 1, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if csr.RevPortBuilt() {
+			t.Fatalf("a packed run on %d workers built the reverse ports", workers)
+		}
+	}
+	if _, err := prog.RunSync(SyncConfig{Seed: 1, Backend: BackendFlat}); err != nil {
+		t.Fatal(err)
+	}
+	if !csr.RevPortBuilt() {
+		t.Fatal("a flat run finished without the reverse ports")
+	}
+	small, err := graph.BuildCSR(graph.GnpConnectedStream(64, 4.0/64, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	CompileMachine(packedTestProto()).BindCSR(small)
+	if !small.RevPortBuilt() {
+		t.Fatal("a flat-bound program left its reverse ports to the run")
+	}
+}
+
+// TestPackedRouteSkipsSinks checks the sharded route against the
+// changed emissions it consumes. After every round the test recovers
+// the round's changed nodes from the last-emission planes. Then it
+// requires that the buckets hold exactly one update per edge from a
+// changed node, except edges into a node that was a sink at the
+// previous barrier. Over the run some updates must be skipped, the
+// snapshot must equal the sink plane at every barrier, and the final
+// states must equal a one-worker run's.
+func TestPackedRouteSkipsSinks(t *testing.T) {
+	const n = 1 << 16
+	csr, err := graph.BuildCSR(graph.GnpConnectedStream(n, 4.0/n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := CompileMachine(packedTestProto()).BindCSR(csr)
+	init := make([]nfsm.State, n)
+	for v := range init {
+		init[v] = nfsm.State(v & 1)
+	}
+	want, err := prog.RunSync(SyncConfig{Seed: 1, Workers: 1, Init: init, Backend: BackendPacked})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	scr := NewScratch()
+	letters := make([]int16, n) // each node's emission after the previous round
+	for v := range letters {
+		letters[v] = int16(prog.initial)
+	}
+	snap := make([]uint64, (n+63)/64) // the sink snapshot of the previous barrier
+	var bucketed, skipped int
+	obs := func(round int, _ []nfsm.State) {
+		ps := scr.pk
+		got := 0
+		for _, bk := range ps.buckets {
+			for _, b := range bk {
+				got += len(b)
+			}
+		}
+		exp := 0
+		for v := range letters {
+			w, i := v>>6, uint(v)&63
+			var le int16
+			for j := range ps.leP {
+				le |= int16(ps.leP[j][w]>>i&1) << j
+			}
+			if le == letters[v] {
+				continue
+			}
+			letters[v] = le
+			for k := csr.NbrOff[v]; k < csr.NbrOff[v+1]; k++ {
+				if u := csr.NbrDat[k]; snap[u>>6]>>(uint(u)&63)&1 != 0 {
+					skipped++
+				} else {
+					exp++
+				}
+			}
+		}
+		if got != exp {
+			t.Fatalf("round %d: %d bucketed updates, want %d", round, got, exp)
+		}
+		bucketed += got
+		for w := range snap {
+			if ps.sinkSnap[w] != ps.sink[w] {
+				t.Fatalf("round %d: sink snapshot word %d = %#x, sink plane %#x", round, w, ps.sinkSnap[w], ps.sink[w])
+			}
+		}
+		copy(snap, ps.sinkSnap)
+	}
+	got, err := prog.RunSyncReusing(SyncConfig{Seed: 1, Workers: 3, Init: init, Backend: BackendPacked, Observer: obs}, scr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.States, want.States) || got.Rounds != want.Rounds {
+		t.Fatalf("3 workers: %d rounds, states differ %v; 1 worker: %d rounds", got.Rounds, !slices.Equal(got.States, want.States), want.Rounds)
+	}
+	if skipped == 0 {
+		t.Fatal("no update addressed a sink: the run exercised nothing")
+	}
+	t.Logf("%d rounds: %d updates bucketed, %d to sinks skipped", got.Rounds, bucketed, skipped)
 }
 
 // TestPackedCountPlanes drives the fixed-depth ripple of move across

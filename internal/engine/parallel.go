@@ -85,7 +85,7 @@ func (p *Program) RunSyncReusing(cfg SyncConfig, scr *Scratch) (*SyncResult, err
 		if cap(scr.emits) < n {
 			scr.emits = make([]nfsm.Letter, n)
 		}
-		fk = &flatKernel{p: p, rc: &scr.rc, csr: p.csr, states: states, emits: scr.emits[:n], seed: cfg.Seed, dyn: dyn}
+		fk = &flatKernel{p: p, rc: &scr.rc, csr: p.csr, rev: p.csr.RevPort(), states: states, emits: scr.emits[:n], seed: cfg.Seed, dyn: dyn}
 		if cfg.Channel != nil {
 			fk.ch = &scr.ch
 			fk.ch.reset(cfg.Channel, res)
@@ -325,6 +325,7 @@ type flatKernel struct {
 	p      *Program
 	rc     *runCounts
 	csr    *graph.CSR // the current topology (re-bound by scenario batches)
+	rev    []int32    // csr.RevPort(), fetched once per binding
 	states []nfsm.State
 	emits  []nfsm.Letter
 	seed   uint64
@@ -456,7 +457,7 @@ func (e *flatKernel) compute(lo, hi, round, worker int) (r shardResult) {
 
 // route buckets the worker's emitted edges by destination shard.
 func (e *flatKernel) route(worker int, emitters []int32) {
-	off, nbr, rev := e.csr.NbrOff, e.csr.NbrDat, e.csr.RevPort
+	off, nbr, rev := e.csr.NbrOff, e.csr.NbrDat, e.rev
 	bk := e.buckets[worker]
 	for s := range bk {
 		bk[s] = bk[s][:0]
@@ -485,7 +486,7 @@ func (e *flatKernel) deliver(round int) {
 		return
 	}
 	rc := e.rc
-	off, nbr, rev := e.csr.NbrOff, e.csr.NbrDat, e.csr.RevPort
+	off, nbr, rev := e.csr.NbrOff, e.csr.NbrDat, e.rev
 	portDat, raw, idx, pow, settled := rc.portDat, rc.raw, rc.idx, e.p.pow, e.settled
 	nl, b := e.p.nl, int32(e.p.b)
 	for _, lst := range e.emitters {

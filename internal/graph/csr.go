@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // CSR is a compressed-sparse-row view of the graph: the adjacency lists
 // packed into two flat arrays, plus the flattened reverse-port table the
 // execution engines need to route transmissions. It exists so the hot
@@ -9,21 +14,25 @@ package graph
 // For every node v the directed edges v → u occupy the index range
 // [NbrOff[v], NbrOff[v+1]) of NbrDat, in the same sorted order as
 // Neighbors(v); the port index of u at v is therefore k - NbrOff[v].
-// RevPort is aligned with NbrDat: for the directed edge at index k from v
-// to u = NbrDat[k], RevPort[k] is the port index of v at u — i.e. the
-// slot of u's port array that v's transmissions land in.
+// RevPort returns the table aligned with NbrDat: for the directed edge
+// at index k from v to u = NbrDat[k], RevPort()[k] is the port index of
+// v at u — i.e. the slot of u's port array that v's transmissions land
+// in. The table is built on first use, not with the snapshot: the
+// bit-plane sync backend never reads it, and at n = 10⁶ it is as large
+// as NbrDat.
 //
 // A CSR is an immutable snapshot: it does not observe edges added to the
-// graph after it was built.
+// graph after it was built. It is safe for concurrent use.
 type CSR struct {
 	// NbrOff has length N()+1; NbrOff[v] is the first index of node v's
 	// neighbor run in NbrDat.
 	NbrOff []int32
 	// NbrDat has length 2·M(); the concatenated sorted adjacency lists.
 	NbrDat []int32
-	// RevPort has length 2·M(); RevPort[k] is the port of v at NbrDat[k]
-	// for the k-th directed edge v → NbrDat[k].
-	RevPort []int32
+
+	revOnce  sync.Once
+	rev      []int32
+	revBuilt atomic.Bool
 }
 
 // CSR builds the compressed-sparse-row snapshot of the graph in O(n + m),
@@ -31,9 +40,8 @@ type CSR struct {
 func (g *Graph) CSR() *CSR {
 	n := g.N()
 	c := &CSR{
-		NbrOff:  make([]int32, n+1),
-		NbrDat:  make([]int32, 2*g.m),
-		RevPort: make([]int32, 2*g.m),
+		NbrOff: make([]int32, n+1),
+		NbrDat: make([]int32, 2*g.m),
 	}
 	k := 0
 	for v := 0; v < n; v++ {
@@ -44,18 +52,40 @@ func (g *Graph) CSR() *CSR {
 		}
 	}
 	c.NbrOff[n] = int32(k)
-	// Reverse ports without per-edge searches: scanning nodes u in
-	// ascending order, the successive occurrences of w across the
-	// adjacency lists visit exactly adj[w] in sorted order, so a cursor
-	// per node tracks where the edge (w → u) lives in w's run.
+	return c
+}
+
+// RevPort returns the reverse-port table (see CSR), building it in
+// O(n + m) on the first call; every later call, from any goroutine,
+// returns the same slice. Callers must not modify it.
+func (c *CSR) RevPort() []int32 {
+	c.revOnce.Do(func() {
+		c.rev = c.buildRevPort()
+		c.revBuilt.Store(true)
+	})
+	return c.rev
+}
+
+// RevPortBuilt reports whether the reverse-port table has been built,
+// without building it.
+func (c *CSR) RevPortBuilt() bool { return c.revBuilt.Load() }
+
+// buildRevPort derives the reverse ports without per-edge searches:
+// scanning nodes u in ascending order, the successive occurrences of w
+// across the sorted adjacency runs visit exactly w's own run in order,
+// so a cursor per node tracks where the edge (w → u) lives in w's run.
+func (c *CSR) buildRevPort() []int32 {
+	n := c.N()
+	rev := make([]int32, len(c.NbrDat))
 	cur := make([]int32, n)
 	for u := 0; u < n; u++ {
-		for i, w := range g.adj[u] {
-			c.RevPort[c.NbrOff[w]+cur[w]] = int32(i)
+		for k := c.NbrOff[u]; k < c.NbrOff[u+1]; k++ {
+			w := c.NbrDat[k]
+			rev[c.NbrOff[w]+cur[w]] = k - c.NbrOff[u]
 			cur[w]++
 		}
 	}
-	return c
+	return rev
 }
 
 // RemapPorts aligns an old CSR snapshot with a new one after a topology

@@ -32,10 +32,10 @@ type EdgeStream interface {
 
 // BuildCSR assembles the compressed-sparse-row snapshot of the stream
 // with two passes: a degree-counting pass sizes the runs, a fill pass
-// writes them, then each run is sorted in place and the reverse-port
-// table is derived with the same ascending-scan cursor trick as
-// Graph.CSR. The result is layout-identical to ToGraph(s).CSR(), so the
-// engines (and the differential tests) cannot tell the two apart.
+// writes them, then each run is sorted in place. The reverse-port table
+// is left to CSR.RevPort, which builds it on first use. The result is
+// layout-identical to ToGraph(s).CSR(), so the engines (and the
+// differential tests) cannot tell the two apart.
 //
 // Peak extra memory beyond the returned CSR is one int32 per node.
 func BuildCSR(s EdgeStream) (*CSR, error) {
@@ -69,9 +69,8 @@ func BuildCSR(s EdgeStream) (*CSR, error) {
 		return nil, fmt.Errorf("graph: %d edges exceed the int32 CSR index space", m)
 	}
 	c := &CSR{
-		NbrOff:  make([]int32, n+1),
-		NbrDat:  make([]int32, 2*m),
-		RevPort: make([]int32, 2*m),
+		NbrOff: make([]int32, n+1),
+		NbrDat: make([]int32, 2*m),
 	}
 	var off int32
 	for v := 0; v < n; v++ {
@@ -110,18 +109,6 @@ func BuildCSR(s EdgeStream) (*CSR, error) {
 			if run[i] == run[i-1] {
 				return nil, fmt.Errorf("graph: stream emitted duplicate edge {%d,%d}", v, run[i])
 			}
-		}
-	}
-	// Reverse ports: scanning u ascending, the successive occurrences of
-	// w visit adj(w) in sorted order (see Graph.CSR).
-	for v := range cur {
-		cur[v] = 0
-	}
-	for u := 0; u < n; u++ {
-		for k := c.NbrOff[u]; k < c.NbrOff[u+1]; k++ {
-			w := c.NbrDat[k]
-			c.RevPort[c.NbrOff[w]+cur[w]] = k - c.NbrOff[u]
-			cur[w]++
 		}
 	}
 	return c, nil

@@ -16,7 +16,7 @@ func csrEqual(t *testing.T, name string, a, b *CSR) {
 	if !reflect.DeepEqual(a.NbrDat, b.NbrDat) {
 		t.Errorf("%s: NbrDat differs", name)
 	}
-	if !reflect.DeepEqual(a.RevPort, b.RevPort) {
+	if !reflect.DeepEqual(a.RevPort(), b.RevPort()) {
 		t.Errorf("%s: RevPort differs", name)
 	}
 }

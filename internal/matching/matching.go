@@ -118,7 +118,7 @@ func Solve(g *graph.Graph, seed uint64, maxRounds int) (*Result, error) {
 	// nested revPort slices the engine used to rebuild per run. The
 	// initial letter is FREE (all nodes start free).
 	csr := g.CSR()
-	off, nbr, rev := csr.NbrOff, csr.NbrDat, csr.RevPort
+	off, nbr, rev := csr.NbrOff, csr.NbrDat, csr.RevPort()
 	ports := make([]byte, len(nbr))
 	for k := range ports {
 		ports[k] = letFree
